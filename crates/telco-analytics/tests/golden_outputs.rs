@@ -92,14 +92,17 @@ fn golden_json(preset: &str, study: &Study) -> String {
 
 fn check_golden(preset: &str, config: SimConfig) {
     let study = Study::run(config);
-    let actual = golden_json(preset, &study);
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/goldens")
-        .join(format!("study_{preset}.json"));
+    assert_golden(&format!("study_{preset}.json"), &golden_json(preset, &study));
+}
+
+/// Compare `actual` with `tests/goldens/<file>`, or rewrite the file
+/// under `UPDATE_GOLDENS=1`.
+fn assert_golden(file: &str, actual: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens").join(file);
 
     if std::env::var_os("UPDATE_GOLDENS").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &actual).unwrap();
+        std::fs::write(&path, actual).unwrap();
         eprintln!("golden updated: {}", path.display());
         return;
     }
@@ -122,7 +125,7 @@ fn check_golden(preset: &str, config: SimConfig) {
             }
         }
         panic!(
-            "study `{preset}` drifted from its golden ({}).\n\
+            "{} drifted from its golden.\n\
              If the change is intentional, refresh with UPDATE_GOLDENS=1 and \
              review the diff.\n--- expected ---\n{expected}\n--- actual ---\n{actual}",
             path.display()
@@ -133,6 +136,22 @@ fn check_golden(preset: &str, config: SimConfig) {
 #[test]
 fn golden_study_tiny() {
     check_golden("tiny", SimConfig::tiny());
+}
+
+/// The §6.3 / Appendix B models, pinned as the canonical JSON of
+/// `Study::models()`: ANOVA, Tukey, Kruskal–Wallis, OLS, quantile fits,
+/// ECDFs and the Random-Forest baseline quality, to the last bit. The
+/// tiny preset widened to 1,200 UEs × 3 days hands over to all three HO
+/// types, so every model term is present.
+#[test]
+fn golden_models_tiny() {
+    let mut cfg = SimConfig::tiny();
+    cfg.n_ues = 1_200;
+    cfg.n_days = 3;
+    let models = Study::run(cfg).models();
+    assert_eq!(models.tukey_ho_type.len(), 3, "every HO-type pair must be compared");
+    let json = serde_json::to_string(&models).expect("models serialize");
+    assert_golden("models_tiny.json", &format!("{json}\n"));
 }
 
 /// The tiny golden, reproduced from a spilled trace: the same study run

@@ -217,8 +217,11 @@ pub fn shard_complete(
 }
 
 /// Whether a sealed study for exactly this manifest already exists and
-/// validates. `Ok` carries its marker.
-fn study_complete(manifest: &Manifest, store: &dyn ShardStore) -> Result<StudyMarker, String> {
+/// validates. `Ok` carries its marker and the sidecar it parsed.
+fn study_complete(
+    manifest: &Manifest,
+    store: &dyn ShardStore,
+) -> Result<(StudyMarker, StudySidecar), String> {
     let expected = hash_hex(manifest.manifest_hash());
     let marker_json =
         get_string(store, STUDY_MARKER).map_err(|e| format!("no study marker: {e}"))?;
@@ -240,7 +243,7 @@ fn study_complete(manifest: &Manifest, store: &dyn ShardStore) -> Result<StudyMa
     if sidecar.manifest_hash != expected {
         return Err("study sidecar is from a different manifest".into());
     }
-    Ok(marker)
+    Ok((marker, sidecar))
 }
 
 /// Run (or resume) the sharded sweep described by the store's manifest:
@@ -262,7 +265,7 @@ pub fn orchestrate(
     });
 
     // A sealed study for this exact manifest short-circuits everything.
-    if let Ok(marker) = study_complete(&manifest, store.as_ref()) {
+    if let Ok((marker, _)) = study_complete(&manifest, store.as_ref()) {
         pool.log_event(&format!("{{\"event\":\"study-reused\",\"records\":{}}}", marker.records));
         return Ok(OrchestrateReport {
             total,
@@ -421,10 +424,8 @@ fn publish_study_sidecar(
 /// supplies mobility, ledger, and core outputs.
 pub fn open_study(store: &dyn ShardStore) -> Result<StudyData, OrchestrateError> {
     let manifest = load_manifest(store)?;
-    let marker = study_complete(&manifest, store).map_err(OrchestrateError::StudyInvalid)?;
-    let side_json = get_string(store, STUDY_SIDECAR)?;
-    let sidecar: StudySidecar = serde_json::from_str(&side_json)
-        .map_err(|e| OrchestrateError::StudyInvalid(format!("sidecar: {e}")))?;
+    let (marker, sidecar) =
+        study_complete(&manifest, store).map_err(OrchestrateError::StudyInvalid)?;
     let path = store.local_path(STUDY_TRACE).ok_or_else(|| {
         OrchestrateError::StudyInvalid("store has no local study trace to stream".into())
     })?;

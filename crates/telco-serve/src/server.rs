@@ -211,6 +211,12 @@ fn handle_connection(
     shutdown: &AtomicBool,
     addr: SocketAddr,
 ) {
+    // A response goes out as two writes, body then newline. Under Nagle's
+    // algorithm the newline waits for the ACK of a body longer than the
+    // write buffer, which the client's delayed ACK holds back ~40 ms.
+    if stream.set_nodelay(true).is_err() {
+        return;
+    }
     let Ok(write_half) = stream.try_clone() else { return };
     let mut writer = std::io::BufWriter::new(write_half);
     let reader = BufReader::new(stream);
@@ -245,6 +251,8 @@ fn handle_connection(
 /// Connection or I/O failures talking to the server.
 pub fn query_line(addr: SocketAddr, line: &str) -> std::io::Result<String> {
     let mut stream = TcpStream::connect(addr)?;
+    // The request goes out as two writes too (see `handle_connection`).
+    stream.set_nodelay(true)?;
     stream.write_all(line.as_bytes())?;
     stream.write_all(b"\n")?;
     stream.flush()?;
@@ -318,5 +326,33 @@ mod tests {
         assert!(bye.contains("shutting_down"), "{bye}");
         server.stop();
         assert!(server.shutdown_requested());
+    }
+
+    /// A response larger than the 8 KB write buffer leaves the server as
+    /// body and newline in two writes. With Nagle's algorithm on, each
+    /// round trip on a kept-alive connection would stall ~40 ms on the
+    /// client's delayed ACK.
+    #[test]
+    fn large_responses_do_not_stall_on_delayed_ack() {
+        let mut big = view();
+        let section = format!("[{}0]", "0,".repeat(12_000));
+        big.sections = vec![("frame".into(), section.clone())];
+        let server = QueryServer::start(Arc::new(Published::new(big)), 0).unwrap();
+        let mut client = TcpStream::connect(server.addr()).unwrap();
+        let mut reader = BufReader::new(client.try_clone().unwrap());
+        let start = std::time::Instant::now();
+        for _ in 0..10 {
+            // One write per request, so only the server's writes can stall.
+            client.write_all(b"{\"query\":\"section\",\"name\":\"frame\"}\n").unwrap();
+            let mut response = String::new();
+            reader.read_line(&mut response).unwrap();
+            assert!(response.len() > section.len(), "{} bytes", response.len());
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_millis(200),
+            "10 round trips of a {}-byte section took {elapsed:?}",
+            section.len()
+        );
     }
 }

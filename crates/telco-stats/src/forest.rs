@@ -84,96 +84,146 @@ impl RegressionTree {
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
+}
 
-    fn fit(
-        x: &[Vec<f64>],
-        y: &[f64],
-        indices: &mut [usize],
-        opts: &ForestOptions,
-        rng: &mut SplitMix,
-    ) -> Self {
-        let mut nodes = Vec::new();
-        build_node(x, y, indices, 0, opts, rng, &mut nodes);
-        RegressionTree { nodes }
+/// Running sum and sum of squares of one child of a candidate split,
+/// accumulated in `indices` order.
+#[derive(Default)]
+struct ChildSums {
+    s: f64,
+    ss: f64,
+}
+
+impl ChildSums {
+    fn add(&mut self, y: f64) {
+        self.s += y;
+        self.ss += y * y;
+    }
+
+    /// Within-child sum of squares over `n` observations.
+    fn within(&self, n: usize) -> f64 {
+        self.ss - self.s * self.s / n as f64
     }
 }
 
-/// Recursively grow a node over `indices`; returns the node's index.
-fn build_node(
-    x: &[Vec<f64>],
-    y: &[f64],
-    indices: &mut [usize],
-    depth: usize,
-    opts: &ForestOptions,
-    rng: &mut SplitMix,
-    nodes: &mut Vec<Node>,
-) -> usize {
-    let mean = indices.iter().map(|&i| y[i]).sum::<f64>() / indices.len() as f64;
-    if depth >= opts.max_depth || indices.len() < 2 * opts.min_leaf {
-        nodes.push(Node::Leaf { value: mean });
-        return nodes.len() - 1;
-    }
+/// A split `feature <= threshold` that leaves at least `min_leaf`
+/// observations on each side, with its children's sums.
+struct Candidate {
+    threshold: f64,
+    n_left: usize,
+    left: ChildSums,
+    right: ChildSums,
+}
 
-    let n_features = x[0].len();
-    let k = ((n_features as f64 * opts.feature_fraction).ceil() as usize).clamp(1, n_features);
-    let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, score)
-    let parent_ss: f64 = indices.iter().map(|&i| (y[i] - mean) * (y[i] - mean)).sum();
+/// Per-tree growing state: the shared inputs plus scratch buffers that
+/// every node of the tree reuses.
+struct Grower<'a> {
+    /// Column-major features: `x[feature][observation]`.
+    x: &'a [Vec<f64>],
+    y: &'a [f64],
+    opts: &'a ForestOptions,
+    rng: &'a mut SplitMix,
+    nodes: Vec<Node>,
+    /// The node's values of one feature, sorted for its quantiles.
+    values: Vec<f64>,
+    /// The feature's candidate splits, by ascending threshold.
+    candidates: Vec<Candidate>,
+}
 
-    for _ in 0..k {
-        let feature = (rng.next() as usize) % n_features;
-        // Candidate thresholds from the feature's quantiles over this node.
-        let mut values: Vec<f64> = indices.iter().map(|&i| x[i][feature]).collect();
-        values.sort_by(|a, b| a.partial_cmp(b).expect("finite features"));
-        for t in 1..=opts.n_thresholds {
-            let q = t as f64 / (opts.n_thresholds + 1) as f64;
-            let threshold = values[((values.len() - 1) as f64 * q) as usize];
-            // Score the split: total within-child sum of squares.
-            let (mut n_l, mut s_l, mut ss_l) = (0.0, 0.0, 0.0);
-            let (mut n_r, mut s_r, mut ss_r) = (0.0, 0.0, 0.0);
+impl Grower<'_> {
+    /// Recursively grow a node over `indices`; returns the node's index.
+    fn build_node(&mut self, indices: &mut [usize], depth: usize) -> usize {
+        let (y, opts) = (self.y, self.opts);
+        let n = indices.len();
+        let mean = indices.iter().map(|&i| y[i]).sum::<f64>() / n as f64;
+        if depth >= opts.max_depth || n < 2 * opts.min_leaf {
+            return self.push(Node::Leaf { value: mean });
+        }
+
+        let n_features = self.x.len();
+        let k = ((n_features as f64 * opts.feature_fraction).ceil() as usize).clamp(1, n_features);
+        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, score)
+        let parent_ss: f64 = indices.iter().map(|&i| (y[i] - mean) * (y[i] - mean)).sum();
+
+        for _ in 0..k {
+            let feature = (self.rng.next() as usize) % n_features;
+            let column = &self.x[feature];
+            self.find_candidates(column, indices);
+            // One pass scores every candidate: each child's sums still add
+            // up in `indices` order, as a scan per threshold would.
             for &i in indices.iter() {
-                if x[i][feature] <= threshold {
-                    n_l += 1.0;
-                    s_l += y[i];
-                    ss_l += y[i] * y[i];
-                } else {
-                    n_r += 1.0;
-                    s_r += y[i];
-                    ss_r += y[i] * y[i];
+                let v = column[i];
+                for c in &mut self.candidates {
+                    // Adding 0.0 to the other child, rather than branching,
+                    // is exact: these sums start at +0.0 and can never
+                    // reach -0.0, the one value that 0.0 would change.
+                    let (to_left, to_right) =
+                        if v <= c.threshold { (y[i], 0.0) } else { (0.0, y[i]) };
+                    c.left.add(to_left);
+                    c.right.add(to_right);
                 }
             }
-            if (n_l as usize) < opts.min_leaf || (n_r as usize) < opts.min_leaf {
+            for c in &self.candidates {
+                // Score the split: total within-child sum of squares.
+                let gain = parent_ss - (c.left.within(c.n_left) + c.right.within(n - c.n_left));
+                if best.is_none_or(|(_, _, g)| gain > g) && gain > 1e-12 {
+                    best = Some((feature, c.threshold, gain));
+                }
+            }
+        }
+
+        let Some((feature, threshold, _)) = best else {
+            return self.push(Node::Leaf { value: mean });
+        };
+
+        // Partition indices in place.
+        let column = &self.x[feature];
+        let mid = partition(indices, |&i| column[i] <= threshold);
+        if mid == 0 || mid == n {
+            return self.push(Node::Leaf { value: mean });
+        }
+        // Reserve this node's slot, then grow children.
+        let me = self.push(Node::Leaf { value: mean }); // placeholder
+        let (l, r) = indices.split_at_mut(mid);
+        let left = self.build_node(l, depth + 1);
+        let right = self.build_node(r, depth + 1);
+        self.nodes[me] = Node::Split { feature, threshold, left, right };
+        me
+    }
+
+    /// Fill `candidates` from the feature's quantile grid over this node.
+    /// Two kinds of threshold are left out, neither of which could become
+    /// the best split: a repeat of the previous threshold scores the same
+    /// split again and cannot pass the strict `gain > g` test, and a split
+    /// with a child under `min_leaf` is never scored. Child sizes come
+    /// from the sorted values.
+    fn find_candidates(&mut self, column: &[f64], indices: &[usize]) {
+        let values = &mut self.values;
+        values.clear();
+        values.extend(indices.iter().map(|&i| column[i]));
+        values.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite features"));
+        self.candidates.clear();
+        let (n_thresholds, min_leaf) = (self.opts.n_thresholds, self.opts.min_leaf);
+        let mut previous = None;
+        for t in 1..=n_thresholds {
+            let q = t as f64 / (n_thresholds + 1) as f64;
+            let threshold = values[((values.len() - 1) as f64 * q) as usize];
+            if previous == Some(threshold) {
                 continue;
             }
-            let within = (ss_l - s_l * s_l / n_l) + (ss_r - s_r * s_r / n_r);
-            let gain = parent_ss - within;
-            if best.is_none_or(|(_, _, g)| gain > g) && gain > 1e-12 {
-                best = Some((feature, threshold, gain));
+            previous = Some(threshold);
+            let n_left = values.partition_point(|&v| v <= threshold);
+            if n_left >= min_leaf && values.len() - n_left >= min_leaf {
+                let (left, right) = Default::default();
+                self.candidates.push(Candidate { threshold, n_left, left, right });
             }
         }
     }
 
-    let Some((feature, threshold, _)) = best else {
-        nodes.push(Node::Leaf { value: mean });
-        return nodes.len() - 1;
-    };
-
-    // Partition indices in place.
-    let mid = partition(indices, |&i| x[i][feature] <= threshold);
-    if mid == 0 || mid == indices.len() {
-        nodes.push(Node::Leaf { value: mean });
-        return nodes.len() - 1;
+    fn push(&mut self, node: Node) -> usize {
+        self.nodes.push(node);
+        self.nodes.len() - 1
     }
-    // Reserve this node's slot, then grow children.
-    let me = nodes.len();
-    nodes.push(Node::Leaf { value: mean }); // placeholder
-    let (left_idx, right_idx) = {
-        let (l, r) = indices.split_at_mut(mid);
-        let li = build_node(x, y, l, depth + 1, opts, rng, nodes);
-        let ri = build_node(x, y, r, depth + 1, opts, rng, nodes);
-        (li, ri)
-    };
-    nodes[me] = Node::Split { feature, threshold, left: left_idx, right: right_idx };
-    me
 }
 
 fn partition<T, F: Fn(&T) -> bool>(xs: &mut [T], pred: F) -> usize {
@@ -213,15 +263,26 @@ impl RandomForest {
     /// Panics if the design has no observations.
     pub fn fit(design: &Design, opts: ForestOptions) -> Self {
         assert!(design.n() > 0, "cannot fit a forest on an empty design");
-        let x: Vec<Vec<f64>> = design.rows().map(|(row, _)| row.to_vec()).collect();
+        let x: Vec<Vec<f64>> =
+            (0..design.width()).map(|f| design.rows().map(|(row, _)| row[f]).collect()).collect();
         let y: Vec<f64> = design.rows().map(|(_, y)| y).collect();
-        let n = x.len();
+        let n = y.len();
         let mut rng = SplitMix::new(opts.seed);
         let trees = (0..opts.n_trees)
             .map(|_| {
                 // Bootstrap sample with replacement.
                 let mut indices: Vec<usize> = (0..n).map(|_| (rng.next() as usize) % n).collect();
-                RegressionTree::fit(&x, &y, &mut indices, &opts, &mut rng)
+                let mut grower = Grower {
+                    x: &x,
+                    y: &y,
+                    opts: &opts,
+                    rng: &mut rng,
+                    nodes: Vec::new(),
+                    values: Vec::with_capacity(n),
+                    candidates: Vec::with_capacity(opts.n_thresholds),
+                };
+                grower.build_node(&mut indices, 0);
+                RegressionTree { nodes: grower.nodes }
             })
             .collect();
         RandomForest { trees }
@@ -364,6 +425,52 @@ mod tests {
         let forest = RandomForest::fit(&d, ForestOptions::default());
         assert!((forest.predict(&[42.0]) - 5.0).abs() < 1e-9);
         assert_eq!(forest.evaluate(&d).rmse, 0.0);
+    }
+
+    /// A design shaped like the HOF models' one: an intercept, dummy
+    /// columns, a constant column and a numeric column with few distinct
+    /// values, so most candidate thresholds of a node repeat. Prediction
+    /// bit patterns are pinned so that no change to the split search can
+    /// move a single float.
+    #[test]
+    fn tie_heavy_design_predictions_are_pinned() {
+        let mut d = Design::new()
+            .intercept()
+            .categorical("a", &["a0", "a1", "a2", "a3"])
+            .categorical("b", &["b0", "b1", "b2"])
+            .numeric("k")
+            .numeric("x");
+        let mut rng = SplitMix::new(11);
+        for _ in 0..600 {
+            let a = (rng.next() % 4) as usize;
+            let b = (rng.next() % 3) as usize;
+            let x = (rng.next() % 5) as f64;
+            let noise = (rng.next() % 1000) as f64 / 1000.0;
+            let y = a as f64 * 1.5 - if b == 2 { 2.0 } else { 0.0 } + (x - 2.0).powi(2) + noise;
+            d.add(&[Value::Cat(a), Value::Cat(b), Value::Num(2.5), Value::Num(x)], y);
+        }
+        let opts = ForestOptions { n_trees: 10, ..Default::default() };
+        let forest = RandomForest::fit(&d, opts);
+        let bits: Vec<u64> =
+            d.rows().take(8).map(|(row, _)| forest.predict(row).to_bits()).collect();
+        assert_eq!(
+            bits,
+            [
+                0x4013_d081_4ff3_ce4a,
+                0x3ffd_2c36_3045_992d,
+                0x4019_a999_b90d_cc3d,
+                0x4018_05c8_860d_7886,
+                0x4012_11bb_9bc9_9303,
+                0x4013_6a15_1f63_ffcf,
+                0x4012_e8ed_df31_4d62,
+                0x4006_5482_c0e3_02fa,
+            ]
+        );
+        let q = forest.evaluate(&d);
+        assert_eq!(
+            (q.rmse.to_bits(), q.mae.to_bits()),
+            (0x3fe6_ecb9_2581_3bc5, 0x3fe2_2f69_c741_3a70)
+        );
     }
 
     #[test]
