@@ -340,3 +340,36 @@ fn golden_study_tiny_orchestrated() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The canonical serializer bytes, pinned as FNV-1a fingerprints and
+/// lengths: the compact JSON of the tiny study's [`SweepOutputs`] (the
+/// bytes `repro serve` publishes and every gate hash covers) and the
+/// pretty JSON of a tiny manifest. Any change to number, string or
+/// layout formatting moves one of these.
+///
+/// [`SweepOutputs`]: telco_analytics::SweepOutputs
+#[test]
+fn golden_serializer_bytes_tiny() {
+    use telco_orchestrator::manifest::fnv1a;
+    use telco_orchestrator::{Manifest, PlanOptions};
+
+    let study = Study::run(SimConfig::tiny());
+    let outputs = serde_json::to_string(study.sweep()).expect("sweep outputs serialize");
+    assert_eq!(
+        (fnv1a(outputs.as_bytes()), outputs.len()),
+        (0xff77_55ff_ea19_7e98, 961_508),
+        "compact SweepOutputs JSON drifted"
+    );
+
+    let manifest = Manifest::plan(
+        SimConfig::tiny(),
+        &PlanOptions { shards: 4, scenario: "tiny".into(), ..PlanOptions::default() },
+    )
+    .expect("tiny plan");
+    let pretty = serde_json::to_string_pretty(&manifest).expect("manifest serializes");
+    assert_eq!(
+        (fnv1a(pretty.as_bytes()), pretty.len()),
+        (0x79f9_0ddb_eeaa_39ec, 2_574),
+        "pretty manifest JSON drifted"
+    );
+}

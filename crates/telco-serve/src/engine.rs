@@ -157,6 +157,9 @@ pub struct IngestEngine {
     /// Trailing per-day partial snapshots, oldest first, at most
     /// `window` entries — the raw material of sliding-window views.
     partials: VecDeque<(u32, Vec<u8>)>,
+    /// The committed `baseline-<committed_days>.snap` bytes (empty before
+    /// the first commit): what views are restored from.
+    baseline: Vec<u8>,
 }
 
 impl IngestEngine {
@@ -193,8 +196,10 @@ impl IngestEngine {
         }
 
         let mut live = StudyPasses::default();
+        let mut baseline = Vec::new();
         if committed_days > 0 {
-            restore_pass(&mut live, &get_bytes(store.as_ref(), &baseline_object(committed_days))?)?;
+            baseline = get_bytes(store.as_ref(), &baseline_object(committed_days))?;
+            restore_pass(&mut live, &baseline)?;
         } else {
             let ctx = SweepCtx { world: &world, config: &config };
             live.begin(&ctx);
@@ -208,7 +213,8 @@ impl IngestEngine {
             }
         }
 
-        let engine = IngestEngine { config, world, store, live, committed_days, window, partials };
+        let engine =
+            IngestEngine { config, world, store, live, committed_days, window, partials, baseline };
         engine.gc()?;
         Ok(engine)
     }
@@ -274,11 +280,13 @@ impl IngestEngine {
         //    its new day count (never overwriting the one `state.json`
         //    still points at).
         self.live.merge(delta, &ctx);
-        put_bytes(self.store.as_ref(), &baseline_object(day + 1), &snapshot_pass(&self.live))?;
+        let baseline = snapshot_pass(&self.live);
+        put_bytes(self.store.as_ref(), &baseline_object(day + 1), &baseline)?;
         fault::maybe_crash("after-baseline", day);
 
         // 4. The atomic commit point.
         self.committed_days = day + 1;
+        self.baseline = baseline;
         self.partials.push_back((day, delta_bytes));
         while self.partials.len() > self.window as usize {
             self.partials.pop_front();
@@ -317,36 +325,46 @@ impl IngestEngine {
 
     /// Rebuild [`SweepOutputs`] from a snapshot frame: restore into a
     /// fresh composite and finish it. The live accumulator is never
-    /// consumed — views are always derived from snapshot bytes, which
-    /// doubles as a continuous self-test of the codec.
+    /// consumed — views are always derived from committed snapshot bytes,
+    /// which doubles as a continuous self-test of the codec.
     fn outputs_from(&self, bytes: &[u8]) -> Result<SweepOutputs, ServeError> {
         let mut passes = StudyPasses::default();
         restore_pass(&mut passes, bytes)?;
         Ok(passes.end(&self.ctx()))
     }
 
-    /// [`SweepOutputs`] over the trailing `days` retained partials
-    /// (fewer when the ingest is younger than the window).
-    fn window_outputs(&self, days: usize) -> Result<Option<SweepOutputs>, ServeError> {
-        if self.partials.is_empty() {
+    /// Compact JSON of the [`SweepOutputs`] over the trailing `days`
+    /// retained partials (fewer when the ingest is younger than the
+    /// window). When those partials are every committed day, the window
+    /// is the full view's fold — begin, then merge days `0..k` — so
+    /// `full` is returned instead of folding and serializing it again.
+    fn window_json(&self, days: usize, full: &str) -> Result<Option<String>, ServeError> {
+        let used = self.partials.len().min(days);
+        if used == 0 {
             return Ok(None);
+        }
+        if used == self.committed_days as usize {
+            return Ok(Some(full.to_owned()));
         }
         let ctx = self.ctx();
         let mut acc = StudyPasses::default();
         acc.begin(&ctx);
-        let skip = self.partials.len().saturating_sub(days);
-        for (_, bytes) in self.partials.iter().skip(skip) {
+        for (_, bytes) in self.partials.iter().skip(self.partials.len() - used) {
             let mut part = StudyPasses::default();
             restore_pass(&mut part, bytes)?;
             acc.merge(part, &ctx);
         }
-        Ok(Some(acc.end(&ctx)))
+        Ok(Some(to_json(&acc.end(&ctx))?))
     }
 
     /// Build the query-ready view of the current commit point. Called by
     /// the ingest loop after each committed day — queries only ever read
     /// a previously built view, so their staleness is bounded by one
     /// day-fold and they never contend with it.
+    ///
+    /// Every section is serialized once; the full view is assembled from
+    /// the section strings, and reused for any window that covers every
+    /// committed day.
     pub fn build_view(&self) -> Result<ServedView, ServeError> {
         let mut view = ServedView {
             committed_days: self.committed_days,
@@ -356,51 +374,70 @@ impl IngestEngine {
         if self.committed_days == 0 {
             return Ok(view);
         }
-        let json = |e: serde_json::Error| ServeError::Json(e.to_string());
-        let outputs = self.outputs_from(&snapshot_pass(&self.live))?;
+        let outputs = self.outputs_from(&self.baseline)?;
         view.records = outputs.trace_counts.records;
         view.failures = outputs.trace_counts.failures;
         view.sections = sections_of(&outputs)?;
-        view.full = Some(serde_json::to_string(&outputs).map_err(json)?);
-        if let Some(day) = self.window_outputs(1)? {
-            view.last_day = Some(serde_json::to_string(&day).map_err(json)?);
-        }
-        if let Some(week) = self.window_outputs(7)? {
-            view.last_week = Some(serde_json::to_string(&week).map_err(json)?);
-        }
+        // The sections hold everything the view needs from the outputs;
+        // free them before a window fold allocates its own.
+        drop(outputs);
+        let full = assemble_full(&view.sections);
+        view.last_day = self.window_json(1, &full)?;
+        view.last_week = self.window_json(7, &full)?;
+        view.full = Some(full);
         Ok(view)
     }
+}
+
+fn to_json<T: Serialize + ?Sized>(value: &T) -> Result<String, ServeError> {
+    serde_json::to_string(value).map_err(|e| ServeError::Json(e.to_string()))
 }
 
 /// Split a [`SweepOutputs`] into `(top-level field, compact JSON)` pairs
 /// for section queries, in declaration order.
 fn sections_of(o: &SweepOutputs) -> Result<Vec<(String, String)>, ServeError> {
-    let json = |e: serde_json::Error| ServeError::Json(e.to_string());
-    Ok(vec![
-        ("trace_counts".into(), serde_json::to_string(&o.trace_counts).map_err(json)?),
-        ("ho_types".into(), serde_json::to_string(&o.ho_types).map_err(json)?),
-        ("durations".into(), serde_json::to_string(&o.durations).map_err(json)?),
-        (
-            "district_distribution".into(),
-            serde_json::to_string(&o.district_distribution).map_err(json)?,
-        ),
-        (
-            "population_inference".into(),
-            serde_json::to_string(&o.population_inference).map_err(json)?,
-        ),
-        ("ho_density".into(), serde_json::to_string(&o.ho_density).map_err(json)?),
-        ("temporal_evolution".into(), serde_json::to_string(&o.temporal_evolution).map_err(json)?),
-        (
-            "manufacturer_impact".into(),
-            serde_json::to_string(&o.manufacturer_impact).map_err(json)?,
-        ),
-        ("hof_patterns".into(), serde_json::to_string(&o.hof_patterns).map_err(json)?),
-        ("causes".into(), serde_json::to_string(&o.causes).map_err(json)?),
-        ("pingpong".into(), serde_json::to_string(&o.pingpong).map_err(json)?),
-        ("vendor_analysis".into(), serde_json::to_string(&o.vendor_analysis).map_err(json)?),
-        ("frame".into(), serde_json::to_string(&o.frame).map_err(json)?),
-        ("period_frame".into(), serde_json::to_string(&o.period_frame).map_err(json)?),
-    ])
+    macro_rules! sections {
+        ($($field:ident),+) => {
+            vec![$((stringify!($field).to_string(), to_json(&o.$field)?)),+]
+        };
+    }
+    Ok(sections!(
+        trace_counts,
+        ho_types,
+        durations,
+        district_distribution,
+        population_inference,
+        ho_density,
+        temporal_evolution,
+        manufacturer_impact,
+        hof_patterns,
+        causes,
+        pingpong,
+        vendor_analysis,
+        frame,
+        period_frame
+    ))
+}
+
+/// The compact JSON object `{"<name>":<json>,…}` of `sections`: for the
+/// declaration-ordered sections of [`sections_of`], exactly the bytes of
+/// serializing the whole [`SweepOutputs`]. Section names are Rust field
+/// names, so they need no escaping.
+fn assemble_full(sections: &[(String, String)]) -> String {
+    let len = sections.iter().map(|(name, json)| name.len() + json.len() + 4).sum::<usize>();
+    let mut full = String::with_capacity(len + 1);
+    full.push('{');
+    for (i, (name, json)) in sections.iter().enumerate() {
+        if i > 0 {
+            full.push(',');
+        }
+        full.push('"');
+        full.push_str(name);
+        full.push_str("\":");
+        full.push_str(json);
+    }
+    full.push('}');
+    full
 }
 
 #[cfg(test)]
@@ -439,6 +476,24 @@ mod tests {
         let names = engine.store().list().unwrap();
         assert!(names.contains(&"baseline-00003.snap".to_string()), "{names:?}");
         assert!(!names.contains(&"baseline-00002.snap".to_string()), "{names:?}");
+    }
+
+    #[test]
+    fn full_view_is_the_serialized_outputs() {
+        let mut engine = IngestEngine::open(test_config(), temp_store("assembly"), 7).unwrap();
+        engine.ingest_next_day().unwrap().unwrap();
+        engine.ingest_next_day().unwrap().unwrap();
+        let view = engine.build_view().unwrap();
+        let outputs = engine.outputs_from(&engine.baseline).unwrap();
+        let expected = serde_json::to_string(&outputs).unwrap();
+        assert_eq!(view.full.as_deref(), Some(expected.as_str()));
+        // The sections are the top-level fields, each as serialized alone.
+        assert_eq!(view.sections.len(), 14);
+        assert_eq!(view.sections[2].0, "durations");
+        assert_eq!(view.sections[2].1, serde_json::to_string(&outputs.durations).unwrap());
+        // The baseline the view came from is the committed object.
+        let committed = get_bytes(engine.store(), &baseline_object(2)).unwrap();
+        assert_eq!(engine.baseline, committed);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use serde::Value;
 
@@ -36,6 +36,11 @@ use crate::engine::ServedView;
 
 /// The published view cell: a mutex around an `Arc`, locked only long
 /// enough to clone or replace the pointer.
+///
+/// A panic while the lock is held cannot leave the cell half-written
+/// (the critical sections are a single pointer clone or store), so a
+/// poisoned lock is recovered rather than propagated: one panicked
+/// publisher must not take every later query down with it.
 pub struct Published {
     view: Mutex<Arc<ServedView>>,
 }
@@ -48,12 +53,16 @@ impl Published {
 
     /// Atomically replace the served view.
     pub fn publish(&self, view: ServedView) {
-        *self.view.lock().expect("published view lock") = Arc::new(view);
+        *self.lock() = Arc::new(view);
     }
 
     /// The current view (cheap: one lock, one `Arc` clone).
     pub fn current(&self) -> Arc<ServedView> {
-        self.view.lock().expect("published view lock").clone()
+        self.lock().clone()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Arc<ServedView>> {
+        self.view.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -298,6 +307,25 @@ mod tests {
         assert!(bad.contains("\"ok\":false"), "{bad}");
         let (garbage, _) = handle_request("not json", &v);
         assert!(garbage.contains("\"ok\":false"));
+    }
+
+    #[test]
+    fn poisoned_lock_still_serves_and_publishes() {
+        let published = Arc::new(Published::new(view()));
+        let holder = Arc::clone(&published);
+        let panicked = std::thread::spawn(move || {
+            let _guard = holder.view.lock().unwrap();
+            panic!("publisher panics while holding the view lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(published.view.is_poisoned());
+        assert_eq!(published.current().records, 100);
+        let mut next = view();
+        next.records = 7;
+        published.publish(next);
+        let (status, _) = handle_request("{\"query\":\"status\"}", &published.current());
+        assert!(status.contains("\"records\":7"), "{status}");
     }
 
     #[test]

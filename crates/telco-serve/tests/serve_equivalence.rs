@@ -5,10 +5,10 @@
 
 use std::sync::Arc;
 
-use telco_analytics::Study;
-use telco_serve::{query_line, IngestEngine, Published, QueryServer};
+use telco_analytics::{restore_pass, AnalysisPass, Study, StudyPasses, SweepCtx};
+use telco_serve::{query_line, IngestEngine, Published, QueryServer, ServedView};
 use telco_sim::{run_shard, SimConfig, World};
-use telco_store::DirStore;
+use telco_store::{get_bytes, DirStore};
 
 fn test_config() -> SimConfig {
     let mut cfg = SimConfig::tiny();
@@ -25,6 +25,61 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("telco_serve_equiv_{tag}"));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// The compact [`telco_analytics::SweepOutputs`] JSON of the trailing
+/// `days` committed days, folded here from the day partials in the store.
+fn window_from_partials(engine: &IngestEngine, days: u32) -> String {
+    let cfg = engine.config();
+    let world = World::build(cfg);
+    let ctx = SweepCtx { world: &world, config: cfg };
+    let mut acc = StudyPasses::default();
+    acc.begin(&ctx);
+    let committed = engine.committed_days();
+    for day in committed.saturating_sub(days)..committed {
+        let bytes = get_bytes(engine.store(), &format!("day-{day:05}.snap")).expect("day partial");
+        let mut part = StudyPasses::default();
+        restore_pass(&mut part, &bytes).expect("partial restores");
+        acc.merge(part, &ctx);
+    }
+    serde_json::to_string(&acc.end(&ctx)).expect("window outputs serialize")
+}
+
+/// Check a view's windows against folds of the stored partials, for an
+/// engine retaining `retained` partials. A window covering every
+/// committed day is served as the full view's bytes, so it must equal
+/// both the fold and `full`.
+fn assert_windows_match_partials(engine: &IngestEngine, view: &ServedView, retained: u32) {
+    let committed = engine.committed_days();
+    let full = view.full.as_deref().expect("full view");
+    for (days, served) in [(1, &view.last_day), (7, &view.last_week)] {
+        let covered = days.min(retained).min(committed);
+        let served = served.as_deref().expect("window view");
+        assert_eq!(
+            served,
+            window_from_partials(engine, covered),
+            "{days}-day window at day {committed} differs from its partials"
+        );
+        if covered == committed {
+            assert_eq!(served, full, "{days}-day window covering every day is not the full view");
+        }
+    }
+}
+
+#[test]
+fn window_views_equal_folds_of_their_partials() {
+    let cfg = test_config();
+    // The default window retains every day of this stream, so the week
+    // window always covers them all; a window of one retains only the
+    // last day, so the week window shrinks to it after the first day.
+    for retained in [7, 1] {
+        let store = Box::new(DirStore::create(temp_dir(&format!("partials_{retained}"))).unwrap());
+        let mut engine = IngestEngine::open(cfg.clone(), store, retained).unwrap();
+        while engine.ingest_next_day().unwrap().is_some() {
+            let view = engine.build_view().unwrap();
+            assert_windows_match_partials(&engine, &view, retained);
+        }
+    }
 }
 
 #[test]
@@ -50,7 +105,11 @@ fn restore_midstream_then_continue_matches_batch() {
     let mut second =
         IngestEngine::open(cfg.clone(), Box::new(DirStore::open(&dir).unwrap()), 7).unwrap();
     assert_eq!(second.committed_days(), 1);
-    while second.ingest_next_day().unwrap().is_some() {}
+    // The reopened view comes from the baseline read back from the store.
+    assert_windows_match_partials(&second, &second.build_view().unwrap(), 7);
+    while second.ingest_next_day().unwrap().is_some() {
+        assert_windows_match_partials(&second, &second.build_view().unwrap(), 7);
+    }
     let served = second.build_view().unwrap().full.expect("full view after ingest");
     assert_eq!(served, batch_json(cfg), "restored-and-continued study drifted from the batch");
 }
