@@ -11,46 +11,54 @@
 //!
 //! # Execution modes
 //!
-//! - **Sequential** ([`TraceSource::for_each_columns`]): in-memory
-//!   records transpose window-by-window through one reused batch;
-//!   spilled v3 chunks decode straight into it.
-//! - **Day-parallel** (in-memory, `threads > 1`): workers claim whole
-//!   study days off a [`telco_sim::StealCursor`] and batch their day
-//!   slices through per-worker scratch.
-//! - **Chunk-parallel** (spilled, `threads > 1`): one reader thread
-//!   streams CRC-verified raw payloads into a bounded
-//!   [`FrameQueue`] (double-buffered: two slots per worker), and workers
-//!   claim ascending chunk indexes, decode privately, and run a fresh
-//!   pass per chunk. Legacy v1 streams have no chunk frames and fall
-//!   back to the sequential path.
+//! - **Sequential** (`threads == 1`, or a trace that cannot be cut):
+//!   [`TraceSource::for_each_columns`] transposes in-memory records
+//!   window by window through one reused batch, or decodes spilled v3
+//!   chunks straight into it.
+//! - **Parallel** (`threads > 1`): [`TraceSource::spans`] cuts the trace
+//!   into `w = min(threads, work units)` contiguous spans, and one worker
+//!   per span calls `begin` once and feeds its whole span, in order,
+//!   through `record_columns`. In memory the work units are records and
+//!   the spans equal record ranges, cut anywhere. Spilled, the work units
+//!   are chunk frames: a header-only index scan finds each frame's
+//!   offset, spans are balanced by record count, and each worker opens
+//!   its own reader at its span's first frame and CRC-checks, decodes or
+//!   skips every frame exactly as the sequential reader does. A framing
+//!   anomaly in the index scan (bad magic, sequence gap, out-of-bound
+//!   length, missing or bad trailer) sends the sweep down the sequential
+//!   path, so skip semantics never diverge; an I/O error aborts either
+//!   way. Each worker holds one accumulator, one batch and one payload
+//!   buffer, never the whole trace.
 //!
 //! # Determinism of the parallel merge
 //!
-//! Both parallel modes run a fresh pass per work item (study day or
-//! chunk), then fold the per-item accumulators **in item order** (via
-//! [`telco_sim::collect_runs`]), so which worker processed which item
-//! can never reach the output. Pass authors keep the fold exact by
-//! obeying the [`AnalysisPass::merge`] contract: accumulate only
-//! order-robust state during `record` (integer counters, integer-valued
-//! `f64` sums — exact under regrouping below 2^53 — set unions, and
-//! sample vectors concatenated in trace order) and defer every
-//! order-sensitive computation (ratios, sorts, ECDFs, world joins) to
-//! `end`. Chunk-granular folding asks slightly more than day-granular
-//! did — merges now happen at arbitrary record boundaries, not just
-//! midnight — and every shipped pass satisfies it: the only
+//! [`Sweep`] folds the `w` accumulators left to right in span order.
+//! Each one saw the span right after its predecessor's, which is
+//! exactly the [`AnalysisPass::merge`] contract ("`other` saw a later,
+//! disjoint span"), so the fold replays the sequential traversal and
+//! which thread ran which span can never reach the output. Pass authors
+//! keep the fold exact by accumulating only order-robust state during
+//! `record` (integer counters, integer-valued `f64` sums — exact under
+//! regrouping below 2^53 — set unions, and sample vectors concatenated
+//! in trace order) and deferring every order-sensitive computation
+//! (ratios, sorts, ECDFs, world joins) to `end`. Span cuts fall at
+//! arbitrary record boundaries — mid-day, mid-chunk, inside a ping-pong
+//! chain — and every shipped pass is exact there: the only
 //! boundary-sensitive accumulator (ping-pong chain stitching) keeps
-//! explicit first/last edge state precisely so its merge is exact at
-//! any split point.
+//! explicit first/last edge state precisely so its merge is exact at any
+//! split point. `tests/span_merge_props.rs` proves it for every pass and
+//! the composite over arbitrary cuts.
+//!
+//! [`TraceSource::for_each_columns`]: telco_sim::TraceSource::for_each_columns
+//! [`TraceSource::spans`]: telco_sim::TraceSource::spans
 
 use telco_signaling::messages::HoType;
-use telco_sim::{collect_runs, SimConfig, StealCursor, StudyData, World};
+use telco_sim::{SimConfig, StudyData, World};
 use telco_trace::columnar::{ColumnBatch, FLAG_FAILURE};
-use telco_trace::io::CodecError;
-use telco_trace::prefetch::{Frame, FrameQueue};
 use telco_trace::record::HoRecord;
 use telco_trace::snap::{decode_frame, encode_frame, SnapError, SnapReader, SnapWriter};
-use telco_trace::source::COLUMN_BATCH_RECORDS;
-use telco_trace::store::{decode_payload_columns, ChunkIssue, TraceReader};
+use telco_trace::source::TraceSpan;
+use telco_trace::store::ChunkIssue;
 
 use crate::frame::Enriched;
 
@@ -68,7 +76,8 @@ pub struct SweepCtx<'a> {
 ///
 /// Lifecycle: `begin(ctx)` once, `record(r, e)` per handover record in
 /// timestamp order, `end(ctx)` once to produce the output. A parallel
-/// sweep runs one instance per study day and folds them with `merge`.
+/// sweep runs one instance per contiguous trace span and folds them in
+/// span order with `merge`.
 pub trait AnalysisPass {
     /// The finished analysis this pass produces.
     type Output;
@@ -112,7 +121,7 @@ pub trait AnalysisPass {
     // telco-lint: deny-alloc(end)
 
     /// Fold another instance of this pass into `self`. `other` saw a
-    /// later, disjoint span of the trace (the driver merges in day
+    /// later, disjoint span of the trace ([`Sweep`] merges in span
     /// order). The fold must be deterministic: the result may depend on
     /// which records each side saw, never on hash-iteration or thread
     /// order.
@@ -172,8 +181,8 @@ pub fn restore_pass<P: AnalysisPass>(pass: &mut P, bytes: &[u8]) -> Result<(), S
 }
 
 /// The sweep driver: one shared traversal of a study's trace feeding any
-/// pass. Sequential over in-memory or spilled sources; day-parallel over
-/// in-memory sources when the config asks for threads.
+/// pass, sequential or split into contiguous spans over worker threads
+/// when the config asks for threads.
 pub struct Sweep<'a> {
     data: &'a StudyData,
 }
@@ -186,13 +195,14 @@ impl<'a> Sweep<'a> {
 
     /// Run one pass (or composite) in a single trace traversal. `make`
     /// builds a fresh accumulator; the parallel mode calls it once per
-    /// study day plus once for the fold base.
+    /// worker.
     ///
     /// # Errors
     ///
     /// Fails only when a spilled trace hits an underlying I/O error;
     /// damaged chunks are skipped (skip-and-report, as everywhere else in
-    /// the trace layer).
+    /// the trace layer) and counted in
+    /// [`telco_sim::TraceSource::skipped_chunks`].
     pub fn run<P, F>(&self, make: F) -> Result<P::Output, ChunkIssue>
     where
         P: AnalysisPass + Send,
@@ -201,17 +211,9 @@ impl<'a> Sweep<'a> {
         let ctx = SweepCtx { world: &self.data.world, config: &self.data.config };
         let threads = resolve_threads(&self.data.config);
         if threads > 1 {
-            if self.data.config.n_days > 1 {
-                // In-memory sources partition by day (day_slices is
-                // Some); spilled ones fall through to the chunk mode.
-                if let Some(output) = self.run_parallel(&make, &ctx, threads) {
-                    return Ok(output);
-                }
-            }
-            // Spilled sources parallelize at chunk granularity (None
-            // for in-memory sources and legacy v1 streams).
-            if let Some(result) = self.run_parallel_spilled(&make, &ctx, threads) {
-                return result;
+            let spans = self.data.trace.spans(threads)?;
+            if let Some((first, rest)) = spans.split_first().filter(|(_, rest)| !rest.is_empty()) {
+                return self.run_spans(&make, &ctx, first, rest);
             }
         }
         self.run_sequential(make(), &ctx)
@@ -230,189 +232,52 @@ impl<'a> Sweep<'a> {
         Ok(pass.end(ctx))
     }
 
-    /// Day-partitioned parallel sweep over an in-memory source. Returns
-    /// `None` when the source cannot be partitioned (spilled traces),
-    /// falling through to the chunk-parallel mode without consuming an
-    /// extra traversal.
-    fn run_parallel<P, F>(&self, make: &F, ctx: &SweepCtx, threads: usize) -> Option<P::Output>
-    where
-        P: AnalysisPass + Send,
-        F: Fn() -> P + Sync,
-    {
-        let slices = self.data.trace.day_slices(self.data.config.n_days)?;
-        let enriched = Enriched::new(ctx.world);
-        let cursor = StealCursor::new(slices.len());
-        let workers = threads.min(slices.len()).max(1);
-
-        let results: Vec<(Vec<(usize, P)>, u64)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let (slices, cursor, enriched) = (&slices, &cursor, &enriched);
-                    scope.spawn(move || {
-                        let mut batch = ColumnBatch::new();
-                        let mut done: Vec<(usize, P)> = Vec::new();
-                        let mut batches = 0u64;
-                        while let Some(day) = cursor.claim() {
-                            let mut pass = make();
-                            pass.begin(ctx);
-                            let slice = slices.get(day).copied().unwrap_or(&[]);
-                            // telco-lint: deny-panic(begin)
-                            for window in slice.chunks(COLUMN_BATCH_RECORDS) {
-                                batch.clear();
-                                batch.extend_from_rows(window);
-                                batches += 1;
-                                pass.record_columns(&batch, enriched);
-                            }
-                            // telco-lint: deny-panic(end)
-                            done.push((day, pass));
-                        }
-                        (done, batches)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("sweep worker panicked")).collect()
-        });
-
-        let mut per_worker = Vec::with_capacity(results.len());
-        let mut total_batches = 0u64;
-        for (done, batches) in results {
-            per_worker.push(done);
-            total_batches += batches;
-        }
-        self.data.trace.note_column_batches(total_batches);
-
-        // telco-lint: deny-nondeterminism(begin)
-        // Fold the per-day accumulators in day order — collect_runs sorts
-        // by claimed item index, so worker assignment cannot reach the
-        // merge sequence and the fold replays the sequential order.
-        let mut base = make();
-        base.begin(ctx);
-        for (_, part) in collect_runs(per_worker) {
-            base.merge(part, ctx);
-        }
-        // telco-lint: deny-nondeterminism(end)
-        Some(base.end(ctx))
-    }
-
-    /// Chunk-granular parallel sweep over a spilled trace: one reader
-    /// thread streams CRC-verified raw payloads into a bounded
-    /// [`FrameQueue`], workers claim ascending chunk indexes off the
-    /// steal cursor, decode each payload into private [`ColumnBatch`]
-    /// scratch, and run a fresh pass per chunk; the per-chunk
-    /// accumulators fold in chunk order, replaying the sequential
-    /// stream. Returns `None` for in-memory sources and legacy v1
-    /// streams (no chunk frames to parallelize over).
-    ///
-    /// Error semantics match the sequential spilled traversal: damaged
-    /// chunks are skipped by the reader thread (they never receive a
-    /// fold index), an I/O failure aborts the whole sweep.
-    fn run_parallel_spilled<P, F>(
+    /// The parallel sweep: one worker per span, each with one accumulator
+    /// fed its contiguous span in trace order (the calling thread takes
+    /// the first span), then one left-to-right fold in span order. An I/O
+    /// error in any span aborts the sweep (the first such span's issue is
+    /// returned).
+    fn run_spans<P, F>(
         &self,
         make: &F,
         ctx: &SweepCtx,
-        threads: usize,
-    ) -> Option<Result<P::Output, ChunkIssue>>
+        first: &TraceSpan<'_>,
+        rest: &[TraceSpan<'_>],
+    ) -> Result<P::Output, ChunkIssue>
     where
         P: AnalysisPass + Send,
         F: Fn() -> P + Sync,
     {
-        let path = self.data.trace.spill_path()?;
-        let mut reader = match TraceReader::open(path) {
-            Ok(reader) => reader,
-            Err(e) => return Some(Err(ChunkIssue { chunk: 0, offset: 0, error: e })),
-        };
-        let version = reader.version();
-        if version == 1 {
-            return None;
-        }
-        self.data.trace.note_sweep();
+        let trace = &self.data.trace;
+        trace.note_sweep();
         let enriched = Enriched::new(ctx.world);
-        // Two slots per worker: the reader stays one full frame ahead of
-        // every worker (double buffering), and since at most `threads`
-        // claimed frames are undrained at any instant, pushes never
-        // deadlock against a slot nobody will take.
-        let queue = FrameQueue::new(threads * 2);
-        let cursor = StealCursor::new(usize::MAX);
-
-        let results: Vec<(Vec<(usize, P)>, u64)> = std::thread::scope(|scope| {
-            let queue_ref = &queue;
-            scope.spawn(move || {
-                let mut produced = 0u64;
-                loop {
-                    let mut payload = queue_ref.buffer();
-                    match reader.next_chunk_raw(&mut payload) {
-                        None => break,
-                        Some(Ok(raw)) => {
-                            queue_ref.push(Frame { index: produced, count: raw.count, payload });
-                            produced += 1;
-                        }
-                        Some(Err(issue)) if matches!(issue.error, CodecError::Io(_)) => {
-                            queue_ref.fail(produced, issue);
-                            return;
-                        }
-                        // Skip-and-report: a damaged chunk never gets a
-                        // frame index, exactly like the sequential skip.
-                        Some(Err(_)) => queue_ref.recycle(payload),
-                    }
-                }
-                queue_ref.finish(produced);
-            });
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let (queue, cursor, enriched) = (&queue, &cursor, &enriched);
-                    scope.spawn(move || {
-                        let mut batch = ColumnBatch::new();
-                        let mut done: Vec<(usize, P)> = Vec::new();
-                        let mut batches = 0u64;
-                        while let Some(index) = cursor.claim() {
-                            let Some(frame) = queue.take(index as u64) else { break };
-                            // telco-lint: deny-panic(begin)
-                            let decoded = decode_payload_columns(
-                                version,
-                                frame.count,
-                                &frame.payload,
-                                &mut batch,
-                            );
-                            if decoded.is_ok() {
-                                let mut pass = make();
-                                pass.begin(ctx);
-                                pass.record_columns(&batch, enriched);
-                                done.push((index, pass));
-                                batches += 1;
-                            }
-                            // telco-lint: deny-panic(end)
-                            queue.recycle(frame.payload);
-                        }
-                        (done, batches)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("sweep worker panicked")).collect()
+        let fill = |span: &TraceSpan<'_>| -> Result<P, ChunkIssue> {
+            let mut pass = make();
+            pass.begin(ctx);
+            // telco-lint: deny-panic(begin)
+            trace.for_each_span_columns(span, |batch| pass.record_columns(batch, &enriched))?;
+            // telco-lint: deny-panic(end)
+            Ok(pass)
+        };
+        let (base, parts) = std::thread::scope(|scope| {
+            let fill = &fill;
+            let handles: Vec<_> = rest.iter().map(|span| scope.spawn(move || fill(span))).collect();
+            let base = fill(first);
+            let parts: Vec<_> =
+                handles.into_iter().map(|h| h.join().expect("sweep worker panicked")).collect();
+            (base, parts)
         });
 
-        if let Some(issue) = queue.take_error() {
-            return Some(Err(issue));
-        }
-        let mut per_worker = Vec::with_capacity(results.len());
-        let mut total_batches = 0u64;
-        for (done, batches) in results {
-            per_worker.push(done);
-            total_batches += batches;
-        }
-        self.data.trace.note_column_batches(total_batches);
-
         // telco-lint: deny-nondeterminism(begin)
-        // Fold the per-chunk accumulators in chunk order — collect_runs
-        // sorts by claimed frame index, so neither worker assignment nor
-        // completion order can reach the merge sequence; the fold
-        // replays the file's healthy-chunk order exactly.
-        let mut base = make();
-        base.begin(ctx);
-        for (_, part) in collect_runs(per_worker) {
-            base.merge(part, ctx);
+        // Each part saw the span right after its predecessor's, so this
+        // fold is the `merge` contract applied in trace order: which
+        // thread ran which span can never reach the output.
+        let mut base = base?;
+        for part in parts {
+            base.merge(part?, ctx);
         }
         // telco-lint: deny-nondeterminism(end)
-        Some(Ok(base.end(ctx)))
+        Ok(base.end(ctx))
     }
 }
 
@@ -526,7 +391,7 @@ impl AnalysisPass for TraceCountsPass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use telco_sim::{run_study, run_study_spilled, SimConfig};
+    use telco_sim::{run_study, run_study_spilled, SimConfig, TraceSource};
 
     #[test]
     fn trace_counts_match_dataset() {
@@ -568,6 +433,94 @@ mod tests {
         let b = Sweep::new(&spilled).run(TraceCountsPass::default).unwrap();
         assert_eq!(a, b);
         assert_eq!(spilled.trace.sweeps(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Byte offset of every chunk frame header of a sealed v3 trace.
+    fn frame_offsets(bytes: &[u8]) -> Vec<usize> {
+        let mut offsets = Vec::new();
+        let mut pos = telco_trace::store::V2_HEADER_BYTES;
+        while bytes[pos..pos + 4] == telco_trace::store::CHUNK_MAGIC {
+            offsets.push(pos);
+            let len = u32::from_be_bytes(bytes[pos + 12..pos + 16].try_into().unwrap());
+            pos += telco_trace::store::V3_FRAME_HEADER_BYTES + len as usize;
+        }
+        offsets
+    }
+
+    /// Study composite outputs and the skipped-chunk count of one sweep
+    /// at `threads` over a fresh source on `path`.
+    fn sweep_file(data: &mut StudyData, path: &std::path::Path, threads: usize) -> (String, u64) {
+        data.trace = TraceSource::spilled(path, data.config.n_days, data.trace.len());
+        data.config.threads = threads;
+        let outputs = Sweep::new(data).run(crate::StudyPasses::default).unwrap();
+        assert_eq!(data.trace.sweeps(), 1);
+        (serde_json::to_string(&outputs).unwrap(), data.trace.skipped_chunks())
+    }
+
+    #[test]
+    fn damaged_chunks_are_skipped_identically_at_every_thread_count() {
+        let mut cfg = SimConfig::tiny();
+        cfg.n_ues = 150;
+        cfg.n_days = 5;
+        let mut data = run_study(cfg);
+        let dir = std::env::temp_dir().join("telco_sweep_damage_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trace.tlho");
+        // One chunk per day: five frames to cut into spans.
+        telco_trace::store::write_file_v3(data.trace.as_dataset().unwrap(), &path).unwrap();
+        let clean = sweep_file(&mut data, &path, 1);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let frames = frame_offsets(&bytes);
+        assert_eq!(frames.len(), 5);
+
+        // A flipped payload byte (the last of the third frame): the span
+        // readers skip it just as the sequential reader does.
+        bytes[frames[3] - 1] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+        let (one, skipped) = sweep_file(&mut data, &path, 1);
+        assert_eq!(skipped, 1);
+        assert_ne!(one, clean.0, "the damaged chunk is lost");
+        for threads in [2, 3, 8] {
+            assert!(data.trace.spans(threads).unwrap().len() > 1, "cuttable at {threads}");
+            assert_eq!(
+                sweep_file(&mut data, &path, threads),
+                (one.clone(), 1),
+                "{threads} threads"
+            );
+        }
+
+        // A broken frame magic: no spans, every thread count falls back to
+        // the sequential reader and its resync.
+        bytes[frames[1]] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        let fallback = sweep_file(&mut data, &path, 1);
+        assert_eq!(fallback.1, 2);
+        for threads in [2, 3, 8] {
+            assert!(data.trace.spans(threads).unwrap().is_empty());
+            assert_eq!(sweep_file(&mut data, &path, threads), fallback, "{threads} threads");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn parallel_sweep_spawns_no_idle_workers() {
+        let dir = std::env::temp_dir().join("telco_sweep_one_chunk_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trace.tlho");
+        let mut data = run_study(SimConfig::tiny());
+        let dataset = data.trace.as_dataset().unwrap();
+        let mut writer = telco_trace::TraceWriter::create(&path, dataset.days).unwrap();
+        writer.write_chunk(dataset.records()).unwrap();
+        writer.finish().unwrap();
+        data.trace = TraceSource::spilled(&path, data.config.n_days, data.trace.len());
+        data.config.threads = 8;
+        assert_eq!(data.trace.spans(8).unwrap().len(), 1, "one chunk, one span");
+        Sweep::new(&data).run(TraceCountsPass::default).unwrap();
+        assert_eq!(data.trace.column_batches(), 1, "one span, one decoded batch");
+        assert_eq!(data.trace.sweeps(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

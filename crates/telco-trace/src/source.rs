@@ -10,15 +10,23 @@
 //!   once instead of once per analysis;
 //! - **bounded memory on the spilled path** — [`TraceSource::for_each_chunk`]
 //!   streams a spilled trace chunk-by-chunk through a reused buffer and
-//!   never materializes a full-trace `Vec<HoRecord>`.
+//!   never materializes a full-trace `Vec<HoRecord>`;
+//! - **no silent loss** — [`TraceSource::skipped_chunks`] counts the
+//!   damaged chunks a traversal skipped past.
+//!
+//! A parallel sweep cuts the trace into contiguous [`TraceSpan`]s
+//! ([`TraceSource::spans`]) and streams each one on its own worker
+//! ([`TraceSource::for_each_span_columns`]).
 
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::columnar::ColumnBatch;
 use crate::dataset::SignalingDataset;
+use crate::io::CodecError;
 use crate::record::HoRecord;
-use crate::store::{ChunkIssue, TraceReader};
+use crate::store::{ChunkIssue, FrameIndex, FrameSpan, TraceReader};
 
 /// Records per column batch when transposing an in-memory dataset for
 /// the columnar sweep: large enough to amortize the per-batch pass
@@ -37,6 +45,16 @@ pub struct SpilledTrace {
     pub days: u32,
     /// Total records in the trace.
     pub records: u64,
+}
+
+/// A contiguous piece of a trace, in trace order: what one worker of a
+/// parallel sweep feeds through its own accumulator.
+#[derive(Debug, Clone, Copy)]
+pub enum TraceSpan<'a> {
+    /// A range of an in-memory dataset's records.
+    Records(&'a [HoRecord]),
+    /// Consecutive chunk frames of a spilled trace file.
+    Frames(&'a Path, FrameSpan),
 }
 
 #[derive(Debug)]
@@ -58,9 +76,11 @@ pub struct TraceSource {
     /// columnar path was exercised rather than silently falling back to
     /// rows.
     column_batches: AtomicU64,
+    /// Damaged chunks skipped by traversals of a spilled trace.
+    skipped_chunks: AtomicU64,
 }
 
-// telco-lint: audited-atomics(begin): `sweeps` and `column_batches` are monotonic instrumentation counters —
+// telco-lint: audited-atomics(begin): `sweeps`, `column_batches` and `skipped_chunks` are monotonic instrumentation counters —
 // nothing synchronizes through them. Relaxed RMWs on a single location are totally ordered, and the tests
 // that assert on the totals read them after every traversal thread has joined (a happens-before edge the
 // join itself provides), so no stronger ordering would change any observable count.
@@ -73,6 +93,7 @@ impl Clone for TraceSource {
             },
             sweeps: AtomicU64::new(self.sweeps.load(Ordering::Relaxed)),
             column_batches: AtomicU64::new(self.column_batches.load(Ordering::Relaxed)),
+            skipped_chunks: AtomicU64::new(self.skipped_chunks.load(Ordering::Relaxed)),
         }
     }
 }
@@ -84,6 +105,7 @@ impl TraceSource {
             kind: SourceKind::InMemory(dataset),
             sweeps: AtomicU64::new(0),
             column_batches: AtomicU64::new(0),
+            skipped_chunks: AtomicU64::new(0),
         }
     }
 
@@ -93,6 +115,7 @@ impl TraceSource {
             kind: SourceKind::Spilled(SpilledTrace { path: path.into(), days, records }),
             sweeps: AtomicU64::new(0),
             column_batches: AtomicU64::new(0),
+            skipped_chunks: AtomicU64::new(0),
         }
     }
 
@@ -159,16 +182,19 @@ impl TraceSource {
         self.column_batches.load(Ordering::Relaxed)
     }
 
-    /// Record one traversal performed by an external pipeline (e.g. the
-    /// parallel out-of-core sweep, which opens its own reader instead of
-    /// going through [`TraceSource::for_each_chunk`]).
-    pub fn note_sweep(&self) {
-        self.sweeps.fetch_add(1, Ordering::Relaxed);
+    /// How many damaged chunks traversals have skipped: one per chunk
+    /// lost to a CRC or decode failure or a broken frame header, plus one
+    /// for a truncated, unsealed or mismatched tail. Always 0 for an
+    /// in-memory source.
+    pub fn skipped_chunks(&self) -> u64 {
+        self.skipped_chunks.load(Ordering::Relaxed)
     }
 
-    /// Record `n` column batches decoded by an external pipeline.
-    pub fn note_column_batches(&self, n: u64) {
-        self.column_batches.fetch_add(n, Ordering::Relaxed);
+    /// Record one traversal performed by an external pipeline (the
+    /// parallel sweep, which streams [`TraceSource::spans`] instead of
+    /// going through [`TraceSource::for_each_columns`]).
+    pub fn note_sweep(&self) {
+        self.sweeps.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Traverse the trace once, in timestamp order, handing `f` one
@@ -181,41 +207,120 @@ impl TraceSource {
     /// chunks are skipped, I/O failure aborts.
     pub fn for_each_columns(&self, mut f: impl FnMut(&ColumnBatch)) -> Result<(), ChunkIssue> {
         self.sweeps.fetch_add(1, Ordering::Relaxed);
-        let mut batches = 0u64;
-        let result = match &self.kind {
+        match &self.kind {
             SourceKind::InMemory(d) => {
-                let mut batch = ColumnBatch::new();
-                for window in d.records().chunks(COLUMN_BATCH_RECORDS) {
-                    batch.clear();
-                    batch.extend_from_rows(window);
-                    batches += 1;
-                    f(&batch);
-                }
+                self.feed_records(d.records(), &mut f);
                 Ok(())
             }
             SourceKind::Spilled(s) => {
-                let open = |e| ChunkIssue { chunk: 0, offset: 0, error: e };
-                let mut reader = TraceReader::open(&s.path).map_err(open)?;
-                let mut batch = ColumnBatch::new();
-                loop {
-                    match reader.next_chunk_columns(&mut batch) {
-                        None => break Ok(()),
-                        Some(Ok(())) => {
-                            batches += 1;
-                            f(&batch);
-                        }
-                        // Skip-and-report recovery: corruption already
-                        // cost exactly one chunk; an I/O error means the
-                        // medium itself failed, so abort.
-                        Some(Err(issue)) if matches!(issue.error, crate::io::CodecError::Io(_)) => {
-                            break Err(issue)
-                        }
-                        Some(Err(_)) => {}
-                    }
-                }
+                let mut reader = TraceReader::open(&s.path).map_err(open_issue)?;
+                self.feed_frames(&mut reader, u64::MAX, &mut f)
             }
-        };
+        }
+    }
+
+    /// Cut the trace into at most `parts` contiguous spans for a
+    /// parallel sweep, in trace order: streaming every span in order
+    /// with [`TraceSource::for_each_span_columns`] hands over exactly
+    /// the records one [`TraceSource::for_each_columns`] does.
+    ///
+    /// - In memory: `min(parts, records)` equal record ranges. Cuts may
+    ///   fall anywhere, not only at midnight.
+    /// - Spilled: runs of chunk frames balanced by record count, from a
+    ///   header-only [`FrameIndex`] scan; every span holds a record.
+    ///   The list is **empty** when the file cannot be cut safely (a v1
+    ///   stream or any framing anomaly), so the caller reads it
+    ///   sequentially and the reader's resync and skip rules apply
+    ///   unchanged.
+    ///
+    /// Does not count as a traversal.
+    ///
+    /// # Errors
+    ///
+    /// An I/O error while indexing a spilled trace.
+    pub fn spans(&self, parts: usize) -> Result<Vec<TraceSpan<'_>>, ChunkIssue> {
+        match &self.kind {
+            SourceKind::InMemory(d) => {
+                let records = d.records();
+                let (len, n) = (records.len(), parts.clamp(1, records.len().max(1)));
+                let range = |k: usize| records.get(k * len / n..(k + 1) * len / n).unwrap_or(&[]);
+                Ok((0..n).map(|k| TraceSpan::Records(range(k))).collect())
+            }
+            SourceKind::Spilled(s) => {
+                let index = FrameIndex::scan(&s.path).map_err(open_issue)?;
+                let spans = index.map_or_else(Vec::new, |index| index.spans(parts));
+                Ok(spans.into_iter().map(|span| TraceSpan::Frames(&s.path, span)).collect())
+            }
+        }
+    }
+
+    /// Stream one span of [`TraceSource::spans`] in trace order, handing
+    /// `f` one decoded [`ColumnBatch`] at a time, with the error
+    /// semantics of [`TraceSource::for_each_columns`]: damaged chunks are
+    /// skipped and counted, I/O failure aborts. Holds one batch and one
+    /// payload buffer. Does not count as a traversal: the parallel
+    /// sweep counts one for all its spans ([`TraceSource::note_sweep`]).
+    pub fn for_each_span_columns(
+        &self,
+        span: &TraceSpan<'_>,
+        mut f: impl FnMut(&ColumnBatch),
+    ) -> Result<(), ChunkIssue> {
+        match span {
+            TraceSpan::Records(records) => {
+                self.feed_records(records, &mut f);
+                Ok(())
+            }
+            TraceSpan::Frames(path, span) => {
+                let mut reader = TraceReader::open_span(path, span).map_err(open_issue)?;
+                self.feed_frames(&mut reader, span.frames(), &mut f)
+            }
+        }
+    }
+
+    /// Transpose `records` through one reused batch, a fixed-size window
+    /// at a time.
+    fn feed_records(&self, records: &[HoRecord], f: &mut impl FnMut(&ColumnBatch)) {
+        let mut batch = ColumnBatch::new();
+        let mut batches = 0u64;
+        for window in records.chunks(COLUMN_BATCH_RECORDS) {
+            batch.clear();
+            batch.extend_from_rows(window);
+            batches += 1;
+            f(&batch);
+        }
         self.column_batches.fetch_add(batches, Ordering::Relaxed);
+    }
+
+    /// Decode up to `frames` chunks from `reader` (stopping early at end
+    /// of stream) into one reused batch.
+    fn feed_frames<R: Read>(
+        &self,
+        reader: &mut TraceReader<R>,
+        frames: u64,
+        f: &mut impl FnMut(&ColumnBatch),
+    ) -> Result<(), ChunkIssue> {
+        let mut batch = ColumnBatch::new();
+        let (mut batches, mut skipped) = (0u64, 0u64);
+        let mut result = Ok(());
+        for _ in 0..frames {
+            match reader.next_chunk_columns(&mut batch) {
+                None => break,
+                Some(Ok(())) => {
+                    batches += 1;
+                    f(&batch);
+                }
+                // Skip-and-report recovery: corruption already cost
+                // exactly one chunk; an I/O error means the medium itself
+                // failed, so abort.
+                Some(Err(issue)) if matches!(issue.error, CodecError::Io(_)) => {
+                    result = Err(issue);
+                    break;
+                }
+                Some(Err(_)) => skipped += 1,
+            }
+        }
+        self.column_batches.fetch_add(batches, Ordering::Relaxed);
+        self.skipped_chunks.fetch_add(skipped, Ordering::Relaxed);
         result
     }
 
@@ -233,8 +338,7 @@ impl TraceSource {
                 Ok(())
             }
             SourceKind::Spilled(s) => {
-                let open = |e| ChunkIssue { chunk: 0, offset: 0, error: e };
-                let mut reader = TraceReader::open(&s.path).map_err(open)?;
+                let mut reader = TraceReader::open(&s.path).map_err(open_issue)?;
                 let mut buf: Vec<HoRecord> = Vec::new();
                 while let Some(chunk) = reader.next_chunk_into(&mut buf) {
                     match chunk {
@@ -242,40 +346,23 @@ impl TraceSource {
                         // Skip-and-report recovery: corruption already
                         // cost exactly one chunk; an I/O error means the
                         // medium itself failed, so abort.
-                        Err(issue) if matches!(issue.error, crate::io::CodecError::Io(_)) => {
+                        Err(issue) if matches!(issue.error, CodecError::Io(_)) => {
                             return Err(issue)
                         }
-                        Err(_) => {}
+                        Err(_) => {
+                            self.skipped_chunks.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                 }
                 Ok(())
             }
         }
     }
+}
 
-    /// Per-day record slices for the parallel sweep: slice `d` holds the
-    /// records of study day `d` (the final slice also absorbs any
-    /// overflow past the configured span, so every record is covered).
-    /// Counts as one traversal. `None` for a spilled source — streaming
-    /// traces are swept sequentially.
-    pub fn day_slices(&self, n_days: u32) -> Option<Vec<&[HoRecord]>> {
-        let dataset = self.as_dataset()?;
-        self.sweeps.fetch_add(1, Ordering::Relaxed);
-        let records = dataset.records();
-        let n = n_days.max(1);
-        let mut slices = Vec::with_capacity(n as usize);
-        let mut start = 0usize;
-        for day in 1..n {
-            // Records are timestamp-sorted, so day boundaries are the
-            // partition points of the monotone `day()` key.
-            let end = start
-                + records.get(start..).map_or(0, |tail| tail.partition_point(|r| r.day() < day));
-            slices.push(records.get(start..end).unwrap_or(&[]));
-            start = end;
-        }
-        slices.push(records.get(start..).unwrap_or(&[]));
-        Some(slices)
-    }
+/// The issue reported when a trace file cannot be opened or indexed.
+fn open_issue(error: CodecError) -> ChunkIssue {
+    ChunkIssue { chunk: 0, offset: 0, error }
 }
 // telco-lint: audited-atomics(end)
 
@@ -339,23 +426,7 @@ mod tests {
         src.for_each_chunk(|recs| streamed.extend_from_slice(recs)).unwrap();
         assert_eq!(&streamed[..], d.records());
         assert_eq!(src.sweeps(), 1);
-        assert!(src.day_slices(3).is_none());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn day_slices_partition_the_trace() {
-        let d = sample(3, 300);
-        let src = TraceSource::in_memory(d.clone());
-        let slices = src.day_slices(3).unwrap();
-        assert_eq!(slices.len(), 3);
-        assert_eq!(slices.iter().map(|s| s.len()).sum::<usize>(), 300);
-        for (day, slice) in slices.iter().enumerate() {
-            assert!(slice.iter().all(|r| r.day() as usize == day));
-        }
-        let flat: Vec<HoRecord> = slices.iter().flat_map(|s| s.iter().copied()).collect();
-        assert_eq!(&flat[..], d.records());
-        assert_eq!(src.sweeps(), 1);
     }
 
     #[test]
@@ -388,11 +459,46 @@ mod tests {
     }
 
     #[test]
-    fn external_pipeline_counters() {
+    fn external_pipeline_counts_a_sweep() {
         let src = TraceSource::in_memory(sample(1, 10));
         src.note_sweep();
-        src.note_column_batches(3);
         assert_eq!(src.sweeps(), 1);
-        assert_eq!(src.column_batches(), 3);
+        assert_eq!(src.column_batches(), 0);
+    }
+
+    /// Every span, streamed in order, hands over exactly the records of
+    /// one sequential traversal, in memory and spilled, at any part count.
+    #[test]
+    fn spans_cover_the_trace_in_order() {
+        // Mid-sized chunks: write_dataset emits one chunk per day, so 9
+        // days give 9 frames to balance over.
+        let d = sample(9, 3_000);
+        let dir = std::env::temp_dir().join("telco_source_spans_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trace.tlho");
+        crate::store::write_file_v3(&d, &path).unwrap();
+
+        for src in
+            [TraceSource::in_memory(d.clone()), TraceSource::spilled(&path, 9, d.len() as u64)]
+        {
+            for parts in [1, 2, 3, 8, 64] {
+                let spans = src.spans(parts).unwrap();
+                assert!(!spans.is_empty() && spans.len() <= parts);
+                let mut streamed = Vec::new();
+                for span in &spans {
+                    let before = streamed.len();
+                    src.for_each_span_columns(span, |batch| streamed.extend(batch.rows())).unwrap();
+                    assert!(streamed.len() > before, "every span holds records");
+                }
+                assert_eq!(&streamed[..], d.records(), "{parts} parts");
+            }
+            assert_eq!(src.sweeps(), 0, "spans are not traversals of their own");
+            assert_eq!(src.skipped_chunks(), 0);
+        }
+        let in_memory = TraceSource::in_memory(d.clone());
+        assert_eq!(in_memory.spans(64).unwrap().len(), 64, "records cut anywhere");
+        let spilled = TraceSource::spilled(&path, 9, d.len() as u64);
+        assert_eq!(spilled.spans(64).unwrap().len(), 9, "at most one span per frame");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

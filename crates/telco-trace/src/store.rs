@@ -36,7 +36,7 @@
 
 use std::collections::VecDeque;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use bytes::BufMut;
@@ -323,30 +323,176 @@ pub fn write_file_v3(dataset: &SignalingDataset, path: &Path) -> std::io::Result
     Ok(())
 }
 
+// ---- frame index -----------------------------------------------------------
 // telco-lint: deny-panic(begin)
-/// Decode one CRC-verified chunk payload (as produced by
-/// [`TraceReader::next_chunk_raw`]) into a [`ColumnBatch`], dispatching
-/// on the stream version: v3 payloads decode column-wise, v2 payloads
-/// are transposed row-by-row. This is the worker-side half of the
-/// parallel out-of-core sweep — a reader thread ships raw payloads,
-/// workers decode them into their own reusable batches.
-pub fn decode_payload_columns(
+
+/// Where every chunk frame of a sealed v2/v3 trace starts, found by a
+/// header-only scan: magic, sequence number, record count and payload
+/// length of each frame are read and each payload is seeked past, then
+/// the trailer is checked. This is what lets parallel readers start
+/// mid-file ([`TraceReader::open_span`]) without reading the stream
+/// twice.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FrameIndex {
     version: u16,
-    count: u32,
-    payload: &[u8],
-    out: &mut ColumnBatch,
-) -> Result<(), CodecError> {
-    out.clear();
-    match version {
-        VERSION3 => decode_columns(payload, count as usize, out),
-        VERSION2 => {
-            let mut buf: &[u8] = payload;
-            for _ in 0..count {
-                out.push_row(&get_record(&mut buf)?);
-            }
-            Ok(())
+    days: u32,
+    /// Per frame in stream order (frame `i` carries sequence number
+    /// `i`): byte offset of its header and its declared record count.
+    frames: Vec<(u64, u32)>,
+}
+
+/// A run of consecutive chunk frames of a [`FrameIndex`]: what one
+/// parallel reader streams.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameSpan {
+    version: u16,
+    days: u32,
+    /// Byte offset of the first frame's header.
+    offset: u64,
+    /// Stream index (and expected sequence number) of the first frame.
+    first: u64,
+    frames: u64,
+}
+
+impl FrameSpan {
+    /// Chunk frames in the span.
+    pub fn frames(&self) -> u64 {
+        self.frames
+    }
+}
+
+impl FrameIndex {
+    /// Index the chunk frames of the trace at `path`.
+    ///
+    /// Returns `Ok(None)` for a v1 stream (no chunk frames) and for any
+    /// framing anomaly: a bad stream or frame magic, a sequence gap, a
+    /// record count or payload length out of bounds, a payload running
+    /// past the end of the file, or a missing, corrupt, mismatched or
+    /// trailing-data trailer. Such a stream must be read sequentially,
+    /// where [`TraceReader`]'s resync and skip rules apply. Payload CRCs
+    /// are not checked here; the readers of each span check them.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Io`] when the file cannot be opened, sized, read or
+    /// seeked.
+    pub fn scan(path: &Path) -> Result<Option<FrameIndex>, CodecError> {
+        let io = |e: std::io::Error| CodecError::Io(e.kind());
+        let mut file = File::open(path).map_err(io)?;
+        let len = file.metadata().map_err(io)?.len();
+        let mut header = [0u8; V2_HEADER_BYTES];
+        if !read_full(&mut file, &mut header)? || header[..4] != MAGIC {
+            return Ok(None);
         }
-        other => Err(CodecError::BadVersion(other)),
+        let version = u16::from_be_bytes([header[4], header[5]]);
+        let days = u32::from_be_bytes([header[6], header[7], header[8], header[9]]);
+        if version != VERSION2 && version != VERSION3 {
+            return Ok(None);
+        }
+        let head_len = if version == VERSION3 { 16 } else { 12 };
+        let mut frames = Vec::new();
+        let mut records = 0u64;
+        let mut pos = V2_HEADER_BYTES as u64;
+        loop {
+            let mut magic = [0u8; 4];
+            if !read_full(&mut file, &mut magic)? {
+                return Ok(None);
+            }
+            if magic == TRAILER_MAGIC {
+                let mut body = [0u8; 16];
+                if !read_full(&mut file, &mut body)? {
+                    return Ok(None);
+                }
+                let total_records = u64::from_be_bytes([
+                    body[0], body[1], body[2], body[3], body[4], body[5], body[6], body[7],
+                ]);
+                let total_chunks = u32::from_be_bytes([body[8], body[9], body[10], body[11]]);
+                let stored_crc = u32::from_be_bytes([body[12], body[13], body[14], body[15]]);
+                let sound = trailer_crc(version, days, &body[..12]) == stored_crc
+                    && total_records == records
+                    && total_chunks as usize == frames.len()
+                    && pos + 20 == len;
+                return Ok(sound.then_some(FrameIndex { version, days, frames }));
+            }
+            let mut head = [0u8; 16];
+            let Some(head_buf) = head.get_mut(..head_len) else { return Ok(None) };
+            if magic != CHUNK_MAGIC || !read_full(&mut file, head_buf)? {
+                return Ok(None);
+            }
+            let seq = u32::from_be_bytes([head[0], head[1], head[2], head[3]]);
+            let count = u32::from_be_bytes([head[4], head[5], head[6], head[7]]);
+            let payload_len = if version == VERSION3 {
+                u32::from_be_bytes([head[8], head[9], head[10], head[11]]) as usize
+            } else {
+                count as usize * RECORD_BYTES
+            };
+            let end = pos + 4 + head_len as u64 + payload_len as u64;
+            if seq as usize != frames.len()
+                || count > MAX_CHUNK_RECORDS
+                || payload_len > count as usize * MAX_V3_PAYLOAD_PER_RECORD + V3_PAYLOAD_SLACK
+                || end > len
+            {
+                return Ok(None);
+            }
+            frames.push((pos, count));
+            records += u64::from(count);
+            file.seek(SeekFrom::Start(end)).map_err(io)?;
+            pos = end;
+        }
+    }
+
+    /// Cut the frames into at most `parts` contiguous spans balanced by
+    /// record count, in stream order: each cut falls on the frame
+    /// boundary nearest its share of the records. Every span holds at
+    /// least one record, except that a trace without records yields one
+    /// span of all its frames; frames without records ride along with a
+    /// neighbour.
+    pub fn spans(&self, parts: usize) -> Vec<FrameSpan> {
+        // prefix[b] = records before frame boundary b.
+        let prefix: Vec<u64> = std::iter::once(0)
+            .chain(self.frames.iter().scan(0u64, |acc, &(_, count)| {
+                *acc += u64::from(count);
+                Some(*acc)
+            }))
+            .collect();
+        let at = |b: usize| prefix.get(b).copied().unwrap_or(u64::MAX);
+        let total = at(self.frames.len());
+        let parts = parts.max(1) as u64;
+        let mut cuts = vec![0usize];
+        for k in 1..parts {
+            let target = k * total / parts;
+            // The boundaries either side of the target (at(before) <=
+            // target <= at(after)); cut at the nearer one.
+            let after = prefix.partition_point(|&p| p < target);
+            let before = after.saturating_sub(1);
+            let cut = if at(after) - target <= target - at(before) { after } else { before };
+            let last = cuts.last().copied().unwrap_or(0);
+            if at(cut) > at(last) && at(cut) < total {
+                cuts.push(cut);
+            }
+        }
+        cuts.push(self.frames.len());
+        cuts.windows(2).map(|w| self.span(w[0]..w[1])).collect()
+    }
+
+    fn span(&self, range: std::ops::Range<usize>) -> FrameSpan {
+        let offset = self.frames.get(range.start).map_or(0, |&(offset, _)| offset);
+        FrameSpan {
+            version: self.version,
+            days: self.days,
+            offset,
+            first: range.start as u64,
+            frames: range.len() as u64,
+        }
+    }
+}
+
+/// Fill `out` from `src`: `Ok(false)` when the input ends first.
+fn read_full(src: &mut impl Read, out: &mut [u8]) -> Result<bool, CodecError> {
+    match src.read_exact(out) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(false),
+        Err(e) => Err(CodecError::Io(e.kind())),
     }
 }
 // telco-lint: deny-panic(end)
@@ -399,27 +545,31 @@ impl TraceReader<BufReader<File>> {
         let file = File::open(path).map_err(|e| CodecError::Io(e.kind()))?;
         Self::new(BufReader::new(file))
     }
+
+    /// Open a trace file for streaming the frames of `span`, starting at
+    /// its first frame header. The stream header is not re-read (the
+    /// span carries its version and days) and sequence numbers are
+    /// checked from the span's first frame on, so each frame is read,
+    /// CRC-checked, decoded or skipped exactly as a reader streaming
+    /// from the start would. Read [`FrameSpan::frames`] chunks, no more:
+    /// the reader does not know where the span ends.
+    pub fn open_span(path: &Path, span: &FrameSpan) -> Result<Self, CodecError> {
+        let io = |e: std::io::Error| CodecError::Io(e.kind());
+        let mut file = File::open(path).map_err(io)?;
+        file.seek(SeekFrom::Start(span.offset)).map_err(io)?;
+        let mut reader = Self::unread(BufReader::new(file));
+        reader.version = span.version;
+        reader.days = span.days;
+        reader.offset = span.offset;
+        reader.frames_seen = span.first;
+        Ok(reader)
+    }
 }
 
 impl<R: Read> TraceReader<R> {
     /// Wrap a reader, consuming and validating the stream header.
     pub fn new(src: R) -> Result<Self, CodecError> {
-        let mut reader = TraceReader {
-            src,
-            pending: VecDeque::new(),
-            offset: 0,
-            days: 0,
-            version: 0,
-            frames_seen: 0,
-            chunks_ok: 0,
-            records_read: 0,
-            v1_remaining: 0,
-            issues: Vec::new(),
-            trailer_seen: false,
-            done: false,
-            scratch: Vec::new(),
-            cols: ColumnBatch::new(),
-        };
+        let mut reader = Self::unread(src);
         let mut header = [0u8; V2_HEADER_BYTES];
         if reader.read_bytes(&mut header)? < V2_HEADER_BYTES {
             return Err(CodecError::Truncated);
@@ -443,6 +593,26 @@ impl<R: Read> TraceReader<R> {
         reader.version = version;
         reader.days = days;
         Ok(reader)
+    }
+
+    /// A reader over `src` that has not read the stream header yet.
+    fn unread(src: R) -> Self {
+        TraceReader {
+            src,
+            pending: VecDeque::new(),
+            offset: 0,
+            days: 0,
+            version: 0,
+            frames_seen: 0,
+            chunks_ok: 0,
+            records_read: 0,
+            v1_remaining: 0,
+            issues: Vec::new(),
+            trailer_seen: false,
+            done: false,
+            scratch: Vec::new(),
+            cols: ColumnBatch::new(),
+        }
     }
 
     /// Study-day span declared by the header.
@@ -1530,6 +1700,77 @@ mod tests {
         let back = reader.read_to_dataset();
         assert!(back.is_empty());
         assert!(reader.issues().iter().any(|i| i.error == CodecError::BadField("payload_len")));
+    }
+
+    /// The index scan accepts exactly the streams whose framing is sound,
+    /// and span readers started mid-file read what a full read does.
+    #[test]
+    fn frame_index_refuses_every_framing_anomaly() {
+        let d = sample_dataset(3, 600);
+        let dir = std::env::temp_dir().join("telco_frame_index_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trace.tlho");
+        let scan = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            FrameIndex::scan(&path).unwrap()
+        };
+        for clean in [encode_v2(&d), encode_v3(&d)] {
+            let index = scan(&clean).expect("a sealed stream indexes");
+            assert_eq!(index.frames.len(), 3);
+            let mut records = Vec::new();
+            for span in index.spans(3) {
+                let mut reader = TraceReader::open_span(&path, &span).unwrap();
+                for _ in 0..span.frames() {
+                    records.extend(reader.next_chunk().unwrap().unwrap());
+                }
+            }
+            assert_eq!(&records[..], d.records());
+
+            let second = index.spans(3)[1].offset as usize;
+            let trailer = clean.len() - 20;
+            let refused = |what: &str, damage: &dyn Fn(&mut Vec<u8>)| {
+                let mut bytes = clean.clone();
+                damage(&mut bytes);
+                assert_eq!(scan(&bytes), None, "{what}");
+            };
+            refused("frame magic", &|b| b[second] ^= 1);
+            refused("sequence number", &|b| b[second + 7] ^= 1);
+            refused("record count", &|b| b[second + 8] = 0xFF);
+            refused("payload past end of file", &|b| b.truncate(second + 30));
+            refused("trailer crc", &|b| b[trailer + 19] ^= 1);
+            refused("trailer totals", &|b| b[trailer + 11] ^= 1);
+            refused("missing trailer", &|b| b.truncate(trailer));
+            refused("data after trailer", &|b| b.push(0));
+            // The scan never reads payloads: a flipped payload byte is
+            // left to the span readers' CRC check.
+            let mut flipped = clean.clone();
+            flipped[second - 1] ^= 1;
+            assert_eq!(scan(&flipped), Some(index));
+        }
+        assert_eq!(scan(&crate::io::encode(&d)), None, "v1 has no frames");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn spans_cut_at_the_nearest_frame_boundary() {
+        let index = |counts: &[u32]| FrameIndex {
+            version: VERSION3,
+            days: 1,
+            frames: counts.iter().enumerate().map(|(i, &c)| (i as u64 * 64, c)).collect(),
+        };
+        let sizes = |counts: &[u32], parts| {
+            index(counts).spans(parts).iter().map(FrameSpan::frames).collect::<Vec<_>>()
+        };
+        // A merged spill's tail: 196,608 | 236,342 records, not the
+        // 262,144 | 170,806 of cutting after the midpoint is crossed.
+        let spill = [65_536, 65_536, 65_536, 65_536, 65_536, 56_031, 49_238, 1];
+        assert_eq!(sizes(&spill, 2), [3, 5]);
+        assert_eq!(sizes(&spill, 64), [1; 8]);
+        assert_eq!(sizes(&[10], 8), [1], "one chunk, one span");
+        assert_eq!(sizes(&[0, 5, 0, 0, 5, 0], 8), [2, 4], "empty frames ride along");
+        assert_eq!(sizes(&[100, 0, 1], 3), [1, 2]);
+        assert_eq!(sizes(&[0, 0], 4), [2], "no records, one span");
+        assert_eq!(sizes(&[], 4), [0]);
     }
 
     #[test]
