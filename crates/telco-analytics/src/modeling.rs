@@ -164,6 +164,11 @@ fn full_design(obs: &[&SectorDayObs]) -> Design {
 
 impl HofModels {
     /// Run the whole §6.3 pipeline on a sector-day frame.
+    ///
+    /// The Appendix B forest, the costliest fit, runs on a thread of its
+    /// own while this thread runs every other test and fit. All of them are
+    /// pure functions of their inputs, and the forest's random stream is
+    /// its own, so the result does not depend on the overlap.
     pub fn compute(frame: &SectorDayFrame, opts: ModelingOptions) -> Self {
         // →2G cells are exempt from the cell floor: they are ~0.04% of the
         // dataset (paper, Appendix B) yet carry the headline →2G effect.
@@ -173,7 +178,31 @@ impl HofModels {
             .filter(|o| o.hos >= opts.min_cell_hos || o.ho_type == HoType::To2g)
             .collect();
         assert!(obs.len() > 50, "too few observations ({}) for modeling", obs.len());
+        // The outlier filter of Tables 5, 7 and 8 and of the forest.
+        let filtered: Vec<&SectorDayObs> = obs
+            .iter()
+            .copied()
+            .filter(|o| {
+                o.hof_rate_pct() < opts.max_rate_pct
+                    && o.daily_hos >= opts.daily_bounds.0
+                    && o.daily_hos <= opts.daily_bounds.1
+            })
+            .collect();
+        std::thread::scope(|scope| {
+            let forest = scope.spawn(|| forest_quality(&filtered));
+            Self::assemble(&obs, &filtered, || {
+                forest.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+        })
+    }
 
+    /// Every test and fit but the forest, whose quality `forest` yields
+    /// once the rest is done.
+    fn assemble(
+        obs: &[&SectorDayObs],
+        filtered: &[&SectorDayObs],
+        forest: impl FnOnce() -> telco_stats::forest::FitQuality,
+    ) -> Self {
         // --- Table 6 summaries. ---
         let daily: Vec<f64> = obs.iter().map(|o| o.daily_hos as f64).collect();
         let rates: Vec<f64> = obs.iter().map(|o| o.hof_rate_pct()).collect();
@@ -183,7 +212,7 @@ impl HofModels {
         // --- Median per type + grouped log rates. ---
         let mut by_type: [Vec<f64>; 3] = Default::default();
         let mut by_type_log: [Vec<f64>; 3] = Default::default();
-        for o in &obs {
+        for o in obs {
             by_type[o.ho_type.index()].push(o.hof_rate_pct());
             by_type_log[o.ho_type.index()].push(log_rate(o));
         }
@@ -203,7 +232,7 @@ impl HofModels {
         // Vendor and area groupings.
         let mut by_vendor: [Vec<f64>; 4] = Default::default();
         let mut by_area: [Vec<f64>; 2] = Default::default();
-        for o in &obs {
+        for o in obs {
             by_vendor[o.vendor.index()].push(log_rate(o));
             by_area[o.area.index()].push(log_rate(o));
         }
@@ -217,22 +246,13 @@ impl HofModels {
         // --- Table 4: univariate log rate ~ HO type. ---
         let uni_levels = HoTypeLevels::detect(obs.iter().copied());
         let mut uni = Design::new().intercept().categorical("HO type", &uni_levels.labels);
-        for o in &obs {
+        for o in obs {
             uni.add(&[Value::Cat(uni_levels.of(o.ho_type))], log_rate(o));
         }
         let univariate = ols(&uni).expect("univariate model well-posed");
 
         // --- Table 5: full covariates with the outlier filter. ---
-        let filtered: Vec<&SectorDayObs> = obs
-            .iter()
-            .copied()
-            .filter(|o| {
-                o.hof_rate_pct() < opts.max_rate_pct
-                    && o.daily_hos >= opts.daily_bounds.0
-                    && o.daily_hos <= opts.daily_bounds.1
-            })
-            .collect();
-        let full_model = ols(&full_design(&filtered)).expect("full model well-posed");
+        let full_model = ols(&full_design(filtered)).expect("full model well-posed");
 
         // --- Table 7: without →2G observations. ---
         let no2g: Vec<&SectorDayObs> =
@@ -241,7 +261,7 @@ impl HofModels {
 
         // --- Tables 8 & 9: quantile regressions on HO type only. ---
         let taus = [0.2, 0.4, 0.6, 0.8];
-        let quantile_filtered = quantiles_on(&filtered, &taus);
+        let quantile_filtered = quantiles_on(filtered, &taus);
         let nonzero: Vec<&SectorDayObs> = obs.iter().copied().filter(|o| o.hofs > 0).collect();
         let quantile_all = quantiles_on(&nonzero, &taus);
 
@@ -253,23 +273,9 @@ impl HofModels {
             }
             groups.into_iter().map(|g| (!g.is_empty()).then(|| Ecdf::new(&g))).collect()
         };
-        let ecdf_all = ecdfs(&obs);
+        let ecdf_all = ecdfs(obs);
         let ecdf_nonzero = ecdfs(&nonzero);
-        let ecdf_filtered = ecdfs(&filtered);
-
-        // --- Appendix B: Random-Forest baseline (subsampled for cost). ---
-        let rf_sample: Vec<&SectorDayObs> = if filtered.len() > 20_000 {
-            let stride = filtered.len() / 20_000 + 1;
-            filtered.iter().step_by(stride).copied().collect()
-        } else {
-            filtered.clone()
-        };
-        let rf_design = full_design(&rf_sample);
-        let forest = telco_stats::forest::RandomForest::fit(
-            &rf_design,
-            telco_stats::forest::ForestOptions { n_trees: 20, max_depth: 8, ..Default::default() },
-        );
-        let forest_quality = forest.evaluate(&rf_design);
+        let ecdf_filtered = ecdfs(filtered);
 
         HofModels {
             n_observations: obs.len(),
@@ -289,7 +295,7 @@ impl HofModels {
             ecdf_all,
             ecdf_nonzero,
             ecdf_filtered,
-            forest_quality,
+            forest_quality: forest(),
         }
     }
 
@@ -407,6 +413,23 @@ fn median_of(xs: &mut [f64]) -> f64 {
     }
     xs.sort_by(|a, b| a.partial_cmp(b).expect("finite rates"));
     xs[xs.len() / 2]
+}
+
+/// Appendix B: Random-Forest baseline quality on the full design,
+/// subsampled for cost.
+fn forest_quality(filtered: &[&SectorDayObs]) -> telco_stats::forest::FitQuality {
+    let rf_sample: Vec<&SectorDayObs> = if filtered.len() > 20_000 {
+        let stride = filtered.len() / 20_000 + 1;
+        filtered.iter().step_by(stride).copied().collect()
+    } else {
+        filtered.to_vec()
+    };
+    let rf_design = full_design(&rf_sample);
+    let forest = telco_stats::forest::RandomForest::fit(
+        &rf_design,
+        telco_stats::forest::ForestOptions { n_trees: 20, max_depth: 8, ..Default::default() },
+    );
+    forest.evaluate(&rf_design)
 }
 
 fn quantiles_on(obs: &[&SectorDayObs], taus: &[f64]) -> Vec<QuantileFit> {

@@ -1,9 +1,11 @@
 //! A uniform spatial hash grid over the km plane.
 //!
 //! Used for nearest-sector queries during simulation (which sector serves a
-//! UE at a given position) and for neighbor-list construction in the
-//! topology crate. Queries expand ring-by-ring, so nearest-neighbour cost is
-//! proportional to local point density, not to the total count.
+//! UE at a given position). The points are stored flat, bucketed by cell
+//! (CSR layout), so a row of cells is one contiguous slice. Queries expand
+//! ring-by-ring from the query's cell and stop as soon as no unexplored cell
+//! can hold a nearer point, so their cost follows local point density, not
+//! the total count.
 
 use crate::coords::{KmPoint, KmRect};
 
@@ -14,31 +16,84 @@ pub struct GridIndex<T> {
     cell_km: f64,
     nx: usize,
     ny: usize,
-    cells: Vec<Vec<(KmPoint, T)>>,
-    len: usize,
+    /// Cell `c` (row-major, `c = cy * nx + cx`) holds slots
+    /// `starts[c]..starts[c + 1]`; `starts.len() == nx * ny + 1`.
+    starts: Vec<usize>,
+    /// Point of each slot, bucketed by cell, insertion order within a cell.
+    points: Vec<KmPoint>,
+    /// Payload of each slot.
+    values: Vec<T>,
+    /// Insertion index of each slot: the tie-breaker.
+    order: Vec<u32>,
 }
 
-impl<T: Clone> GridIndex<T> {
-    /// Create an index over `bounds` with square cells of side `cell_km`.
+/// The best candidate of a query so far: lowest squared distance, then
+/// lowest insertion index.
+struct Best {
+    d2: f64,
+    slot: usize,
+    order: u32,
+}
+
+impl<T> GridIndex<T> {
+    /// Index `items` over `bounds`. Cells are square with side
+    /// √(area / points), so a cell holds one point on average; points
+    /// outside the bounds are bucketed into the border cells.
     ///
     /// # Panics
     ///
-    /// Panics if `cell_km <= 0`.
-    pub fn new(bounds: KmRect, cell_km: f64) -> Self {
-        assert!(cell_km > 0.0, "cell size must be positive");
+    /// Panics with more than `u32::MAX` points.
+    pub fn new(bounds: KmRect, items: impl IntoIterator<Item = (KmPoint, T)>) -> Self {
+        let items: Vec<(KmPoint, T)> = items.into_iter().collect();
+        let n = items.len();
+        assert!(u32::try_from(n).is_ok(), "too many points for a grid index");
+        // The second term keeps nx * ny ≤ 3n + 1 for long, thin bounds.
+        let side = (bounds.area_km2() / n.max(1) as f64)
+            .sqrt()
+            .max(bounds.width().max(bounds.height()) / n.max(1) as f64);
+        let cell_km = if side > 0.0 && side.is_finite() { side } else { 1.0 };
         let nx = (bounds.width() / cell_km).ceil().max(1.0) as usize;
         let ny = (bounds.height() / cell_km).ceil().max(1.0) as usize;
-        GridIndex { bounds, cell_km, nx, ny, cells: vec![Vec::new(); nx * ny], len: 0 }
+        let mut grid = GridIndex {
+            bounds,
+            cell_km,
+            nx,
+            ny,
+            starts: vec![0; nx * ny + 1],
+            points: Vec::with_capacity(n),
+            values: Vec::with_capacity(n),
+            order: Vec::with_capacity(n),
+        };
+        let mut keyed: Vec<(usize, u32, KmPoint, T)> = items
+            .into_iter()
+            .enumerate()
+            .map(|(i, (p, v))| {
+                let (cx, cy) = grid.cell_of(&p);
+                (cy * nx + cx, i as u32, p, v)
+            })
+            .collect();
+        // By cell, then insertion index: a cell keeps insertion order.
+        keyed.sort_unstable_by_key(|&(cell, i, ..)| (cell, i));
+        for (cell, i, p, v) in keyed {
+            grid.starts[cell + 1] += 1;
+            grid.points.push(p);
+            grid.values.push(v);
+            grid.order.push(i);
+        }
+        for c in 0..nx * ny {
+            grid.starts[c + 1] += grid.starts[c];
+        }
+        grid
     }
 
     /// Number of indexed points.
     pub fn len(&self) -> usize {
-        self.len
+        self.points.len()
     }
 
     /// Whether the index holds no points.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.points.is_empty()
     }
 
     fn cell_of(&self, p: &KmPoint) -> (usize, usize) {
@@ -48,100 +103,75 @@ impl<T: Clone> GridIndex<T> {
         (cx.min(self.nx - 1), cy.min(self.ny - 1))
     }
 
-    /// Insert a point with its payload. Points outside the bounds are
-    /// clamped into the border cells.
-    pub fn insert(&mut self, p: KmPoint, value: T) {
-        let (cx, cy) = self.cell_of(&p);
-        self.cells[cy * self.nx + cx].push((p, value));
-        self.len += 1;
-    }
-
-    /// All `(point, payload)` pairs within `radius_km` of `center`.
-    pub fn within_radius(&self, center: &KmPoint, radius_km: f64) -> Vec<(KmPoint, &T)> {
-        let mut out = Vec::new();
-        let (ccx, ccy) = self.cell_of(center);
-        let r_cells = (radius_km / self.cell_km).ceil() as isize + 1;
-        let radius2 = radius_km * radius_km;
-        for dy in -r_cells..=r_cells {
-            for dx in -r_cells..=r_cells {
-                let cx = ccx as isize + dx;
-                let cy = ccy as isize + dy;
-                if cx < 0 || cy < 0 || cx >= self.nx as isize || cy >= self.ny as isize {
-                    continue;
-                }
-                for (p, v) in &self.cells[cy as usize * self.nx + cx as usize] {
-                    if dist2(p, center) <= radius2 {
-                        out.push((*p, v));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// The nearest point to `center`, or `None` if the index is empty.
-    ///
-    /// Searches outward in rings of cells, stopping once the closest found
-    /// point is provably nearer than any unexplored ring.
+    /// The nearest point to `center` and its payload, or `None` if the
+    /// index is empty. Exact: among equally near points, the one inserted
+    /// first wins.
     pub fn nearest(&self, center: &KmPoint) -> Option<(KmPoint, &T)> {
-        if self.len == 0 {
+        if self.is_empty() {
             return None;
         }
-        let (ccx, ccy) = self.cell_of(center);
-        let max_ring = self.nx.max(self.ny) as isize;
-        // Track *squared* distances: strictly monotone in the true
-        // distance, so the winner is identical but no point costs a sqrt.
-        let mut best: Option<(f64, KmPoint, &T)> = None;
-        for ring in 0..=max_ring {
-            // Once we have a candidate, stop when the ring's minimum possible
-            // distance exceeds it.
-            if let Some((d2, _, _)) = best {
-                let ring_min = (ring - 1).max(0) as f64 * self.cell_km;
-                if ring_min * ring_min > d2 {
-                    break;
-                }
+        let (cx, cy) = self.cell_of(center);
+        let mut best = Best { d2: f64::INFINITY, slot: usize::MAX, order: u32::MAX };
+        for r in 0.. {
+            // Ring `r`: the cells at Chebyshev distance `r` from (cx, cy),
+            // clipped to the grid. Its top and bottom rows are contiguous
+            // runs of cells, so each is one slice of `points`.
+            let x0 = cx.saturating_sub(r);
+            let x1 = (cx + r).min(self.nx - 1);
+            if r <= cy {
+                self.scan_cells(center, (cy - r) * self.nx, x0, x1, &mut best);
             }
-            let mut visited_any = false;
-            for (cx, cy) in ring_cells(ccx as isize, ccy as isize, ring) {
-                if cx < 0 || cy < 0 || cx >= self.nx as isize || cy >= self.ny as isize {
-                    continue;
-                }
-                visited_any = true;
-                for (p, v) in &self.cells[cy as usize * self.nx + cx as usize] {
-                    let d2 = dist2(p, center);
-                    if best.as_ref().is_none_or(|(bd2, _, _)| d2 < *bd2) {
-                        best = Some((d2, *p, v));
+            if r > 0 && cy + r < self.ny {
+                self.scan_cells(center, (cy + r) * self.nx, x0, x1, &mut best);
+            }
+            if r > 0 {
+                for y in (cy + 1).saturating_sub(r)..=(cy + r - 1).min(self.ny - 1) {
+                    if r <= cx {
+                        self.scan_cells(center, y * self.nx, cx - r, cx - r, &mut best);
+                    }
+                    if cx + r < self.nx {
+                        self.scan_cells(center, y * self.nx, cx + r, cx + r, &mut best);
                     }
                 }
             }
-            if !visited_any && best.is_some() {
-                break;
+            match self.unexplored_gap(center, cx, cy, r) {
+                None => break,
+                Some(gap) if gap > 0.0 && best.d2 < gap * gap => break,
+                Some(_) => {}
             }
         }
-        best.map(|(_, p, v)| (p, v))
+        (best.slot < self.points.len()).then(|| (self.points[best.slot], &self.values[best.slot]))
     }
 
-    /// The `k` nearest points to `center`, closest first.
-    pub fn k_nearest(&self, center: &KmPoint, k: usize) -> Vec<(KmPoint, &T)> {
-        if k == 0 || self.len == 0 {
-            return Vec::new();
-        }
-        // Expand the radius until enough neighbours are collected, then sort.
-        let mut radius = self.cell_km;
-        let diag = (self.bounds.width().powi(2) + self.bounds.height().powi(2)).sqrt();
-        loop {
-            let mut found = self.within_radius(center, radius);
-            if found.len() >= k || radius > diag {
-                found.sort_by(|a, b| {
-                    a.0.distance_km(center)
-                        .partial_cmp(&b.0.distance_km(center))
-                        .expect("distances are finite")
-                });
-                found.truncate(k);
-                return found;
+    /// Offer every point of cells `x0..=x1` of the row starting at cell
+    /// `row` to `best`.
+    fn scan_cells(&self, center: &KmPoint, row: usize, x0: usize, x1: usize, best: &mut Best) {
+        let (lo, hi) = (self.starts[row + x0], self.starts[row + x1 + 1]);
+        for (slot, p) in self.points[lo..hi].iter().enumerate() {
+            let d2 = dist2(p, center);
+            if d2 < best.d2 || (d2 == best.d2 && self.order[lo + slot] < best.order) {
+                *best = Best { d2, slot: lo + slot, order: self.order[lo + slot] };
             }
-            radius *= 2.0;
         }
+    }
+
+    /// A lower bound on the distance from `center` to any point outside
+    /// the explored square of cells `(cx ± r, cy ± r)`, or `None` once
+    /// that square covers the grid. The unexplored cells lie beyond one of
+    /// the square's sides; a side on the grid edge has nothing beyond it.
+    /// Points bucketed into a border cell from outside the bounds lie
+    /// beyond the edge, farther still, so the bound holds for them too.
+    /// It is measured from the real (unclamped) query point and shrunk by
+    /// a hair of the cell side to absorb rounding in the bucketing.
+    fn unexplored_gap(&self, center: &KmPoint, cx: usize, cy: usize, r: usize) -> Option<f64> {
+        let (min, cell) = (self.bounds.min, self.cell_km);
+        let sides = [
+            (cx > r).then(|| center.x - (min.x + (cx - r) as f64 * cell)),
+            (cx + r + 1 < self.nx).then(|| min.x + (cx + r + 1) as f64 * cell - center.x),
+            (cy > r).then(|| center.y - (min.y + (cy - r) as f64 * cell)),
+            (cy + r + 1 < self.ny).then(|| min.y + (cy + r + 1) as f64 * cell - center.y),
+        ];
+        sides.into_iter().flatten().reduce(f64::min).map(|gap| gap - cell * 1e-9)
     }
 }
 
@@ -150,19 +180,6 @@ fn dist2(a: &KmPoint, b: &KmPoint) -> f64 {
     let dx = a.x - b.x;
     let dy = a.y - b.y;
     dx * dx + dy * dy
-}
-
-/// Cells at Chebyshev distance exactly `ring` from `(cx, cy)`.
-fn ring_cells(cx: isize, cy: isize, ring: isize) -> impl Iterator<Item = (isize, isize)> {
-    // Lazy so nearest-neighbour queries (the simulation hot path) never
-    // allocate. For ring 0 the top and bottom rows coincide; emit one.
-    let top_bottom = (-ring..=ring).flat_map(move |d| {
-        let top = Some((cx + d, cy - ring));
-        let bottom = (ring > 0).then_some((cx + d, cy + ring));
-        [top, bottom].into_iter().flatten()
-    });
-    let sides = ((-ring + 1)..ring).flat_map(move |d| [(cx - ring, cy + d), (cx + ring, cy + d)]);
-    top_bottom.chain(sides)
 }
 
 #[cfg(test)]
@@ -175,12 +192,10 @@ mod tests {
 
     #[test]
     fn nearest_on_regular_lattice() {
-        let mut g = GridIndex::new(bounds(), 5.0);
-        for x in 0..10 {
-            for y in 0..10 {
-                g.insert(KmPoint::new(x as f64 * 10.0, y as f64 * 10.0), (x, y));
-            }
-        }
+        let lattice = (0..10).flat_map(|x| {
+            (0..10).map(move |y| (KmPoint::new(x as f64 * 10.0, y as f64 * 10.0), (x, y)))
+        });
+        let g = GridIndex::new(bounds(), lattice);
         let (_, v) = g.nearest(&KmPoint::new(42.0, 38.0)).unwrap();
         assert_eq!(*v, (4, 4));
         let (_, v) = g.nearest(&KmPoint::new(1.0, 99.0)).unwrap();
@@ -189,73 +204,30 @@ mod tests {
 
     #[test]
     fn nearest_empty_is_none() {
-        let g: GridIndex<u8> = GridIndex::new(bounds(), 10.0);
+        let g: GridIndex<u8> = GridIndex::new(bounds(), []);
         assert!(g.nearest(&KmPoint::new(0.0, 0.0)).is_none());
         assert!(g.is_empty());
     }
 
     #[test]
-    fn within_radius_counts() {
-        let mut g = GridIndex::new(bounds(), 10.0);
-        g.insert(KmPoint::new(50.0, 50.0), 'a');
-        g.insert(KmPoint::new(53.0, 50.0), 'b');
-        g.insert(KmPoint::new(80.0, 80.0), 'c');
-        let hits = g.within_radius(&KmPoint::new(50.0, 50.0), 5.0);
-        assert_eq!(hits.len(), 2);
-        let hits = g.within_radius(&KmPoint::new(50.0, 50.0), 100.0);
-        assert_eq!(hits.len(), 3);
-    }
-
-    #[test]
-    fn k_nearest_sorted() {
-        let mut g = GridIndex::new(bounds(), 10.0);
-        for i in 0..5 {
-            g.insert(KmPoint::new(i as f64 * 10.0, 0.0), i);
-        }
-        let knn = g.k_nearest(&KmPoint::new(0.0, 0.0), 3);
-        let vals: Vec<i32> = knn.iter().map(|(_, v)| **v).collect();
-        assert_eq!(vals, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn k_nearest_more_than_available() {
-        let mut g = GridIndex::new(bounds(), 10.0);
-        g.insert(KmPoint::new(1.0, 1.0), 1);
-        let knn = g.k_nearest(&KmPoint::new(0.0, 0.0), 5);
-        assert_eq!(knn.len(), 1);
-    }
-
-    #[test]
     fn points_outside_bounds_are_clamped() {
-        let mut g = GridIndex::new(bounds(), 10.0);
-        g.insert(KmPoint::new(-50.0, -50.0), 'x');
+        let g = GridIndex::new(bounds(), [(KmPoint::new(-50.0, -50.0), 'x')]);
         assert_eq!(g.len(), 1);
         assert!(g.nearest(&KmPoint::new(0.0, 0.0)).is_some());
     }
 
     #[test]
-    fn nearest_is_exact_against_brute_force() {
-        let mut g = GridIndex::new(bounds(), 7.0);
-        // Deterministic pseudo-random points.
-        let mut pts = Vec::new();
-        let mut s: u64 = 12345;
-        for i in 0..200 {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let x = (s >> 33) as f64 % 100.0;
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let y = (s >> 33) as f64 % 100.0;
-            pts.push(KmPoint::new(x, y));
-            g.insert(KmPoint::new(x, y), i);
-        }
-        for q in [KmPoint::new(3.0, 97.0), KmPoint::new(50.0, 50.0), KmPoint::new(99.0, 1.0)] {
-            let (_, got) = g.nearest(&q).unwrap();
-            let brute = pts
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.distance_km(&q).partial_cmp(&b.1.distance_km(&q)).unwrap())
-                .unwrap()
-                .0;
-            assert_eq!(*got, brute);
+    fn ties_go_to_the_first_inserted() {
+        // Four points at distance 5 from the query, in four cells.
+        let pts = [(3.0, 4.0), (-3.0, 4.0), (3.0, -4.0), (-5.0, 0.0)];
+        for first in 0..pts.len() {
+            let items = (0..pts.len()).map(|k| {
+                let (dx, dy) = pts[(first + k) % pts.len()];
+                (KmPoint::new(50.0 + dx, 50.0 + dy), k)
+            });
+            let g = GridIndex::new(bounds(), items);
+            let (_, v) = g.nearest(&KmPoint::new(50.0, 50.0)).unwrap();
+            assert_eq!(*v, 0);
         }
     }
 }

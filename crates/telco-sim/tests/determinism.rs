@@ -6,10 +6,10 @@
 
 use telco_sim::{
     run_on_world_chunked, run_on_world_spilled_chunked, run_on_world_spilled_with_version,
-    RunnerMode, SimConfig, World,
+    run_study_spilled, RunnerMode, SimConfig, World,
 };
 use telco_trace::io::encode;
-use telco_trace::store::{VERSION2, VERSION3};
+use telco_trace::store::{TraceReader, DEFAULT_CHUNK_RECORDS, VERSION2, VERSION3};
 
 /// Relative tolerance for ledger sums: f64 addition is not associative, so
 /// chunked accumulation orders differ from the sequential (day, ue) order.
@@ -178,6 +178,33 @@ fn spilled_multi_pass_merge_is_identical() {
     std::fs::create_dir_all(&dir).unwrap();
     let spilled = run_on_world_spilled_chunked(&world, &cfg, 1, &dir).expect("spilled run failed");
     assert_eq!(encode(&spilled.dataset), encode(&reference.dataset));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sealed_spilled_trace_holds_full_chunks() {
+    // The runs are chunked per work item and day; the external merge
+    // re-chunks them, so every chunk of the sealed trace but the last
+    // holds exactly DEFAULT_CHUNK_RECORDS records (~140k records here).
+    let mut cfg = SimConfig::tiny();
+    cfg.n_ues = 2_250;
+    cfg.n_days = 4;
+    cfg.threads = 2;
+    let dir = std::env::temp_dir().join("telco_determinism_sealed_chunks");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let study = run_study_spilled(cfg, &dir).expect("spilled study failed");
+    let mut reader = TraceReader::open(study.trace.spill_path().unwrap()).unwrap();
+    let (mut sizes, mut chunk) = (Vec::new(), Vec::new());
+    while let Some(res) = reader.next_chunk_into(&mut chunk) {
+        res.unwrap();
+        sizes.push(chunk.len());
+    }
+    assert_eq!(sizes.iter().sum::<usize>() as u64, study.trace.len());
+    let (last, full) = sizes.split_last().unwrap();
+    assert!(full.len() >= 2, "too few records for the check: {sizes:?}");
+    assert!(full.iter().all(|&n| n == DEFAULT_CHUNK_RECORDS), "short chunk in {sizes:?}");
+    assert!((1..=DEFAULT_CHUNK_RECORDS).contains(last));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -82,8 +82,19 @@ pub struct Topology {
     config: TopologyConfig,
     sites: Vec<CellSite>,
     sectors: Vec<RadioSector>,
-    /// Per-RAT spatial index over sites hosting that RAT.
-    site_index: [GridIndex<SiteId>; 4],
+    /// Per-RAT spatial index over the sites hosting that RAT; each site's
+    /// payload is its range of `faces` on that RAT.
+    site_index: [GridIndex<(u32, u32)>; 4],
+    /// The faces of every (site, RAT), site-major, each run in
+    /// `site.sectors` order.
+    faces: Vec<Face>,
+}
+
+/// A sector as [`Topology::serving_sector`] sees it: where it points.
+#[derive(Debug, Clone, Copy)]
+struct Face {
+    azimuth_deg: u16,
+    sector: SectorId,
 }
 
 impl Topology {
@@ -175,27 +186,30 @@ impl Topology {
             }
         }
 
-        // Spatial indices per RAT over hosting sites.
-        let cell_km = (country.bounds.width().min(country.bounds.height()) / 40.0).max(2.0);
-        let mut site_index = [
-            GridIndex::new(country.bounds, cell_km),
-            GridIndex::new(country.bounds, cell_km),
-            GridIndex::new(country.bounds, cell_km),
-            GridIndex::new(country.bounds, cell_km),
-        ];
+        // The face table, and per RAT a spatial index over the sites with
+        // faces on it. A face whose azimuth an earlier face of the same
+        // site and RAT already has is left out: it ties that face at every
+        // bearing, and the first of equal faces wins.
+        let mut faces: Vec<Face> = Vec::new();
+        let mut hosting: [Vec<(KmPoint, (u32, u32))>; 4] = Default::default();
         for site in &sites {
-            let mut hosted = [false; 4];
-            for &sid in &site.sectors {
-                hosted[sectors[sid.0 as usize].rat.index()] = true;
-            }
             for rat in Rat::ALL {
-                if hosted[rat.index()] {
-                    site_index[rat.index()].insert(site.position, site.id);
+                let start = faces.len();
+                for s in site.sectors.iter().map(|&sid| &sectors[sid.0 as usize]) {
+                    if s.rat == rat && faces[start..].iter().all(|f| f.azimuth_deg != s.azimuth_deg)
+                    {
+                        faces.push(Face { azimuth_deg: s.azimuth_deg, sector: s.id });
+                    }
+                }
+                if faces.len() > start {
+                    let range = (start as u32, faces.len() as u32);
+                    hosting[rat.index()].push((site.position, range));
                 }
             }
         }
+        let site_index = hosting.map(|sites| GridIndex::new(country.bounds, sites));
 
-        Topology { config, sites, sectors, site_index }
+        Topology { config, sites, sectors, site_index, faces }
     }
 
     /// The generation parameters.
@@ -237,25 +251,18 @@ impl Topology {
     /// sector (by bearing → azimuth) of the nearest site hosting that RAT.
     /// `None` if no site hosts the RAT (possible in tiny configurations).
     pub fn serving_sector(&self, point: &KmPoint, rat: Rat) -> Option<SectorId> {
-        let (site_pos, &site_id) = self.site_index[rat.index()].nearest(point)?;
-        let site = self.site(site_id);
+        let (site_pos, &(start, end)) = self.site_index[rat.index()].nearest(point)?;
         // Bearing from site to UE, degrees clockwise from north.
         let bearing = (point.x - site_pos.x).atan2(point.y - site_pos.y).to_degrees();
         let bearing = if bearing < 0.0 { bearing + 360.0 } else { bearing };
-        site.sectors.iter().copied().filter(|&s| self.sector(s).rat == rat).min_by_key(|&s| {
-            let az = self.sector(s).azimuth_deg as f64;
-            let diff = (bearing - az).abs();
-            (diff.min(360.0 - diff) * 1000.0) as u64
-        })
-    }
-
-    /// Sites hosting `rat` within `radius_km` of a point.
-    pub fn sites_near(&self, point: &KmPoint, rat: Rat, radius_km: f64) -> Vec<SiteId> {
-        self.site_index[rat.index()]
-            .within_radius(point, radius_km)
-            .into_iter()
-            .map(|(_, &id)| id)
-            .collect()
+        // `min_by_key` keeps the first of equal keys: `site.sectors` order.
+        self.faces[start as usize..end as usize]
+            .iter()
+            .min_by_key(|f| {
+                let diff = (bearing - f.azimuth_deg as f64).abs();
+                (diff.min(360.0 - diff) * 1000.0) as u64
+            })
+            .map(|f| f.sector)
     }
 
     /// Sector counts per RAT.

@@ -42,4 +42,4 @@ pub use probe::{probe_trailer, validate_file, StreamSummary, TrailerProbe};
 pub use record::{DeviceRecord, HoOutcome, HoRecord, TopologyRecord};
 pub use snap::{decode_frame, encode_frame, SnapError, SnapReader, SnapWriter};
 pub use source::{SpilledTrace, TraceSource};
-pub use store::{ChunkIssue, FrameIndex, FrameSpan, RawChunk, TraceReader, TraceWriter};
+pub use store::{ChunkIssue, FrameIndex, FrameSpan, TraceReader, TraceWriter};

@@ -105,18 +105,6 @@ impl std::fmt::Display for ChunkIssue {
 
 impl std::error::Error for ChunkIssue {}
 
-/// Metadata of a chunk frame served raw (undecoded) by
-/// [`TraceReader::next_chunk_raw`]: enough to re-frame the payload with
-/// [`TraceWriter::write_raw_chunk`] without recomputing anything.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RawChunk {
-    /// Records the frame header declared (CRC-backed for the payload,
-    /// so trusted after a clean read).
-    pub count: u32,
-    /// CRC32 of the payload, as stored and verified.
-    pub crc: u32,
-}
-
 /// The trailer checksum: CRC32 over the canonical 10-byte header followed
 /// by the 12 trailer-total bytes. Sealing the header here is what makes a
 /// bit flip in the unchecksummed `days` (or `version`) field detectable.
@@ -229,22 +217,12 @@ impl<W: Write> TraceWriter<W> {
                 payload.extend_from_slice(&record_frame(r));
             }
         }
-        let result = self.put_frame(records.len() as u32, &payload, crc32(&payload));
+        let result = self.put_frame(records.len() as u32, &payload);
         self.payload = payload;
         result
     }
 
-    /// Append one pre-encoded chunk frame: `payload` must be a valid
-    /// payload for this writer's version holding exactly `count` records,
-    /// and `crc` its CRC32. This is the merge's raw passthrough — chunks
-    /// read from a same-version input stream (already CRC-verified by the
-    /// reader) are re-framed with a fresh sequence number and copied
-    /// through without a decode/re-encode round trip.
-    pub fn write_raw_chunk(&mut self, count: u32, payload: &[u8], crc: u32) -> std::io::Result<()> {
-        self.put_frame(count, payload, crc)
-    }
-
-    fn put_frame(&mut self, count: u32, payload: &[u8], crc: u32) -> std::io::Result<()> {
+    fn put_frame(&mut self, count: u32, payload: &[u8]) -> std::io::Result<()> {
         let mut frame = Vec::with_capacity(V3_FRAME_HEADER_BYTES);
         frame.put_slice(&CHUNK_MAGIC);
         frame.put_u32(self.chunks);
@@ -252,7 +230,7 @@ impl<W: Write> TraceWriter<W> {
         if self.version == VERSION3 {
             frame.put_u32(payload.len() as u32);
         }
-        frame.put_u32(crc);
+        frame.put_u32(crc32(payload));
         self.sink.write_all(&frame)?;
         self.sink.write_all(payload)?;
         self.chunks += 1;
@@ -734,11 +712,10 @@ impl<R: Read> TraceReader<R> {
         if self.version == 1 {
             return self.next_v1_batch(out);
         }
-        let raw = match self.next_frame_payload()? {
-            Ok(raw) => raw,
+        let count = match self.next_frame_payload()? {
+            Ok(count) => count,
             Err(issue) => return Some(Err(issue)),
         };
-        let count = raw.count;
         // The payload scratch is taken out of `self` for the decode so
         // the issue-reporting path can borrow `self` mutably.
         let payload = std::mem::take(&mut self.scratch);
@@ -804,11 +781,10 @@ impl<R: Read> TraceReader<R> {
             }
             return res;
         }
-        let raw = match self.next_frame_payload()? {
-            Ok(raw) => raw,
+        let count = match self.next_frame_payload()? {
+            Ok(count) => count,
             Err(issue) => return Some(Err(issue)),
         };
-        let count = raw.count;
         let payload = std::mem::take(&mut self.scratch);
         let decode_err = if self.version == VERSION3 {
             decode_columns(&payload, count as usize, out).err()
@@ -839,40 +815,12 @@ impl<R: Read> TraceReader<R> {
         Some(Ok(()))
     }
 
-    /// The next chunk frame as its raw encoded payload, skipping record
-    /// decode entirely: the frame header is validated and the payload
-    /// CRC checked, but columns (v3) or record fields (v2) are not
-    /// touched. This is what lets the external merge copy the tail of a
-    /// sole remaining input through without a decompress/recompress
-    /// round trip. The payload is swapped into `payload`; semantics
-    /// otherwise match [`TraceReader::next_chunk_into`]. Not available
-    /// for v1 streams (no chunk frames): always `None` there — callers
-    /// must check [`TraceReader::version`] first.
-    pub fn next_chunk_raw(
-        &mut self,
-        payload: &mut Vec<u8>,
-    ) -> Option<Result<RawChunk, ChunkIssue>> {
-        payload.clear();
-        if self.done || self.version == 1 {
-            return None;
-        }
-        let raw = match self.next_frame_payload()? {
-            Ok(raw) => raw,
-            Err(issue) => return Some(Err(issue)),
-        };
-        std::mem::swap(payload, &mut self.scratch);
-        self.frames_seen += 1;
-        self.chunks_ok += 1;
-        self.records_read += u64::from(raw.count);
-        Some(Ok(raw))
-    }
-
     /// Advance to the next chunk frame: consume the magic (dispatching
     /// the trailer and resync paths), validate the header fields, fill
     /// the payload scratch, and check CRC and sequence number. On
     /// `Some(Ok(..))` the scratch holds the verified payload; all
     /// bookkeeping except the success counters has been done.
-    fn next_frame_payload(&mut self) -> Option<Result<RawChunk, ChunkIssue>> {
+    fn next_frame_payload(&mut self) -> Option<Result<u32, ChunkIssue>> {
         let mut magic = [0u8; 4];
         let got = match self.read_bytes(&mut magic) {
             Ok(n) => n,
@@ -977,7 +925,7 @@ impl<R: Read> TraceReader<R> {
             self.frames_seen += 1;
             return Some(Err(issue));
         }
-        Some(Ok(RawChunk { count, crc: stored_crc }))
+        Some(Ok(count))
     }
 
     /// Consume and validate the trailer. Never yields a value — either
@@ -1186,14 +1134,8 @@ pub fn merge_sorted_readers<R: Read>(
 
 /// Merge sorted trace readers directly into a [`TraceWriter`], never
 /// materializing the merged trace in memory. Returns the record count.
-///
-/// Once the merge drains to a single remaining input, the rest of that
-/// stream needs no comparisons — its chunks are copied through *raw*
-/// (header re-sequenced, payload byte-for-byte, CRC carried over) when
-/// the input's format version matches the writer's. For a v3 input that
-/// means the tail is merged without decompressing any column; the
-/// record stream is identical either way, so the stable-merge contract
-/// is unaffected.
+/// Every chunk written holds [`DEFAULT_CHUNK_RECORDS`] records except the
+/// last, however the inputs were chunked.
 pub fn merge_sorted_readers_to_writer<R: Read, W: Write>(
     readers: Vec<TraceReader<R>>,
     writer: &mut TraceWriter<W>,
@@ -1202,48 +1144,12 @@ pub fn merge_sorted_readers_to_writer<R: Read, W: Write>(
     let mut merge = SortedMerge::new(readers).map_err(invalid)?;
     let mut buf: Vec<HoRecord> = Vec::with_capacity(DEFAULT_CHUNK_RECORDS);
     let mut total = 0u64;
-    loop {
-        // Heap entries exist only for streams with a buffered record, so
-        // one entry means one live input: switch to the raw tail copy if
-        // its encoding matches the output's.
-        if merge.heap.len() == 1 {
-            let Some(&std::cmp::Reverse((_, i))) = merge.heap.peek() else { break };
-            let Some(s) = merge.streams.get_mut(i) else { break };
-            if s.reader.version() == writer.version() {
-                if !buf.is_empty() {
-                    writer.write_chunk(&buf)?;
-                    buf.clear();
-                }
-                // Flush the already-decoded remainder of the current
-                // chunk, then stream the rest of the file raw.
-                let tail = s.buf.get(s.pos..).unwrap_or(&[]);
-                if !tail.is_empty() {
-                    total += tail.len() as u64;
-                    writer.write_chunk(tail)?;
-                }
-                s.pos = s.buf.len();
-                let mut raw = Vec::new();
-                while let Some(chunk) = s.reader.next_chunk_raw(&mut raw) {
-                    let rc = chunk.map_err(invalid)?;
-                    if rc.count > 0 {
-                        writer.write_raw_chunk(rc.count, &raw, rc.crc)?;
-                        total += u64::from(rc.count);
-                    }
-                }
-                merge.heap.clear();
-                break;
-            }
-        }
-        match merge.next().map_err(invalid)? {
-            Some(r) => {
-                buf.push(r);
-                total += 1;
-                if buf.len() == DEFAULT_CHUNK_RECORDS {
-                    writer.write_chunk(&buf)?;
-                    buf.clear();
-                }
-            }
-            None => break,
+    while let Some(r) = merge.next().map_err(invalid)? {
+        buf.push(r);
+        total += 1;
+        if buf.len() == DEFAULT_CHUNK_RECORDS {
+            writer.write_chunk(&buf)?;
+            buf.clear();
         }
     }
     if !buf.is_empty() {
@@ -1308,8 +1214,8 @@ pub fn merge_run_files_to_path(
 }
 
 /// The format version an external merge should write: the version of
-/// the first run file, so merging preserves the inputs' encoding (and
-/// the raw tail passthrough can engage). Defaults to v3 for an empty
+/// the first run file, so merging preserves the inputs' encoding.
+/// Defaults to v3 for an empty
 /// run list or v1 inputs (v1 has no chunked writer).
 fn runs_version(runs: &[std::path::PathBuf]) -> std::io::Result<u16> {
     let Some(first) = runs.first() else { return Ok(VERSION3) };
@@ -1826,36 +1732,17 @@ mod tests {
     }
 
     #[test]
-    fn raw_chunk_passthrough_matches_decode() {
-        // Reading a v3 stream raw and re-framing through write_raw_chunk
-        // must reproduce a byte-identical record stream.
-        let d = sample_dataset(2, 300);
-        let bytes = encode_v3(&d);
-        let mut reader = TraceReader::new(&bytes[..]).unwrap();
-        let mut writer = TraceWriter::new(Vec::new(), 2).unwrap();
-        let mut raw = Vec::new();
-        while let Some(chunk) = reader.next_chunk_raw(&mut raw) {
-            let rc = chunk.unwrap();
-            writer.write_raw_chunk(rc.count, &raw, rc.crc).unwrap();
-        }
-        assert!(reader.trailer_seen());
-        let copied = writer.finish().unwrap();
-        let mut reread = TraceReader::new(&copied[..]).unwrap();
-        assert_eq!(reread.read_to_dataset_strict().unwrap(), d);
-        // Same chunk structure and payloads → identical bytes.
-        assert_eq!(copied, bytes);
-    }
-
-    #[test]
-    fn merge_preserves_run_version_and_passthrough_tail() {
+    fn merge_preserves_run_version_and_rechunks_tail() {
         let dir = std::env::temp_dir().join("telco_store_merge_v3_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         // Two runs: a short one and a long tail — the merge exhausts the
-        // short one early, then raw-copies the long one's remainder.
+        // short one early, then re-chunks the long one's 512-record
+        // chunks into full output chunks.
         let short: Vec<HoRecord> = (0..20u64).map(|i| rec(i * 10, i as u32, false)).collect();
-        let long: Vec<HoRecord> =
-            (0..4000u64).map(|i| rec(i * 50, (i + 100) as u32, i % 7 == 0)).collect();
+        let long: Vec<HoRecord> = (0..2 * DEFAULT_CHUNK_RECORDS as u64 + 4000)
+            .map(|i| rec(i * 50, (i + 100) as u32, i % 7 == 0))
+            .collect();
         let mut all: Vec<HoRecord> = short.iter().chain(long.iter()).copied().collect();
         all.sort_by_key(|r| r.timestamp_ms);
         for (version, expect) in [(VERSION2, VERSION2), (VERSION3, VERSION3)] {
@@ -1874,8 +1761,16 @@ mod tests {
             assert_eq!(n, all.len() as u64);
             let mut reader = TraceReader::open(&out).unwrap();
             assert_eq!(reader.version(), expect, "merge must preserve the run version");
-            let merged = reader.read_to_dataset_strict().unwrap();
-            assert_eq!(merged.records(), &all[..]);
+            let (mut merged, mut chunk) = (Vec::new(), Vec::new());
+            let mut sizes = Vec::new();
+            while let Some(res) = reader.next_chunk_into(&mut chunk) {
+                res.unwrap();
+                sizes.push(chunk.len());
+                merged.extend_from_slice(&chunk);
+            }
+            assert_eq!(merged, all);
+            let tail = all.len() - 2 * DEFAULT_CHUNK_RECORDS;
+            assert_eq!(sizes, [DEFAULT_CHUNK_RECORDS, DEFAULT_CHUNK_RECORDS, tail]);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
